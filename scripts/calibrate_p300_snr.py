@@ -28,7 +28,7 @@ def auc_for(snr: float, seed: int) -> float:
     scores = []
     for e in test:
         dv = mdm.distances(model, e)
-        scores.append((float(dv.values[0] - dv.values[1]), e.label))
+        scores.append((-mdm.target_contrast(dv), e.label))
     return mdm.auc(scores)
 
 

@@ -23,13 +23,10 @@ from .features import (
     Prototype,
     build_prototypes,
     build_recipe,
-    erp_super_cov,
     featurize,
-    mu_p300_super_cov,
-    p300_super_cov,
-    sample_covariance,
     shrink,
     ssvep_block_cov,
+    super_trial_cov,
 )
 from .mdm import (
     DistanceVector,
@@ -41,6 +38,7 @@ from .mdm import (
     fit,
     predict,
     soft_scores,
+    target_contrast,
 )
 from .preprocessing import (
     BandSpec,
@@ -54,8 +52,6 @@ from .spd import (
     Evd,
     SpdMatrix,
     SymmetricMatrix,
-    arithmetic_mean,
-    evd,
     geodesic,
     geometric_mean,
     karcher_residual,
@@ -83,7 +79,6 @@ __all__ = [
     "Prototype",
     "SpdMatrix",
     "SymmetricMatrix",
-    "arithmetic_mean",
     "auc",
     "bandpass",
     "build_prototypes",
@@ -92,21 +87,18 @@ __all__ = [
     "decimate",
     "demean",
     "distances",
-    "erp_super_cov",
-    "evd",
     "featurize",
     "fit",
     "geodesic",
     "geometric_mean",
     "karcher_residual",
     "matrix_fn",
-    "mu_p300_super_cov",
-    "p300_super_cov",
     "predict",
     "riemann_distance",
-    "sample_covariance",
     "shrink",
     "soft_scores",
     "ssvep_block_cov",
     "ssvep_filter_bank",
+    "super_trial_cov",
+    "target_contrast",
 ]

@@ -125,18 +125,15 @@ def cmd_fit(args) -> int:
 
 
 def _scores_and_predictions(model, epochs):
+    """Predictions, and for two-class models the negated target contrast
+    (higher means more target-like, as the AUC expects)."""
     predictions = []
     scores = []
-    two_class = len(model.class_ids) == 2
     for e in epochs:
         dv = mdm_mod.distances(model, e)
         predictions.append(dv.argmin_class())
-        if two_class:
-            lo, hi = model.class_ids
-            scores.append(
-                float(dv.values[model.class_ids.index(lo)])
-                - float(dv.values[model.class_ids.index(hi)])
-            )
+        if len(model.class_ids) == 2:
+            scores.append(-mdm_mod.target_contrast(dv))
     return predictions, scores
 
 
@@ -343,6 +340,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ContractError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:

@@ -80,6 +80,27 @@ def write_epochs(path, epochs: list[Epoch], modality: str = "raw") -> None:
         fh.write(payload)
 
 
+def _field(doc, key: str, where: str, convert=lambda v: v):
+    """``convert(doc[key])``; a missing or malformed value raises a
+    FileFormatError that names the field."""
+    if not isinstance(doc, dict):
+        raise FileFormatError(f"{where} must be a JSON object")
+    if key not in doc:
+        raise FileFormatError(f"{where} missing field '{key}'")
+    try:
+        return convert(doc[key])
+    except ContractError:
+        raise
+    except (TypeError, ValueError, KeyError, AttributeError) as exc:
+        raise FileFormatError(f"{where} field '{key}' is malformed: {exc!r}") from exc
+
+
+def _count(v) -> int:
+    if not isinstance(v, int) or v < 0:
+        raise ValueError(f"expected a nonnegative integer, got {v!r}")
+    return v
+
+
 def read_epochs(path) -> list[Epoch]:
     """Read an epoch file; parse errors name the offending field."""
     blob = Path(path).read_bytes()
@@ -90,31 +111,24 @@ def read_epochs(path) -> list[Epoch]:
         header = json.loads(blob[:newline].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FileFormatError(f"unparseable header: {exc}") from exc
-    for key in (
-        "version",
-        "n_trials",
-        "n_channels",
-        "n_samples",
-        "fs_hz",
-        "channel_names",
-        "labels",
-        "modality",
-    ):
-        if key not in header:
-            raise FileFormatError(f"header missing field '{key}'")
-    n_trials = header["n_trials"]
-    n = header["n_channels"]
-    t = header["n_samples"]
-    if len(header["labels"]) != n_trials:
+    for key in ("version", "modality"):
+        _field(header, key, "header")
+    n_trials, n, t = (
+        _field(header, key, "header", _count)
+        for key in ("n_trials", "n_channels", "n_samples")
+    )
+    fs = _field(header, "fs_hz", "header", float)
+    labels = _field(header, "labels", "header", lambda v: [int(z) for z in v])
+    channels = _field(header, "channel_names", "header", tuple)
+    if len(labels) != n_trials:
         raise FileFormatError(
-            f"field 'labels' has {len(header['labels'])} entries "
-            f"for n_trials={n_trials}"
+            f"field 'labels' has {len(labels)} entries for n_trials={n_trials}"
         )
     if n_trials == 0:
         return []
-    if len(header["channel_names"]) != n:
+    if len(channels) != n:
         raise FileFormatError(
-            f"field 'channel_names' has {len(header['channel_names'])} entries "
+            f"field 'channel_names' has {len(channels)} entries "
             f"for n_channels={n}"
         )
     payload = blob[newline + 1 :]
@@ -124,12 +138,11 @@ def read_epochs(path) -> list[Epoch]:
             f"payload holds {len(payload)} bytes, header implies {expected}"
         )
     data = np.frombuffer(payload, dtype="<f4").reshape(n_trials, n, t)
-    channels = tuple(header["channel_names"])
     return [
         Epoch(
             data=data[i].astype(np.float64),
-            fs=float(header["fs_hz"]),
-            label=None if header["labels"][i] == -1 else int(header["labels"][i]),
+            fs=fs,
+            label=None if labels[i] == -1 else labels[i],
             channels=channels,
         )
         for i in range(n_trials)
@@ -138,6 +151,13 @@ def read_epochs(path) -> list[Epoch]:
 
 # ---------------------------------------------------------------------------
 # model files
+
+
+def _read_document(path, what: str):
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FileFormatError(f"unparseable {what} {path}: {exc}") from exc
 
 
 def _recipe_to_doc(recipe: FeatureRecipe) -> dict:
@@ -159,22 +179,26 @@ def _recipe_to_doc(recipe: FeatureRecipe) -> dict:
     }
 
 
-def _recipe_from_doc(doc: dict) -> FeatureRecipe:
+def _prototypes_from_doc(docs) -> tuple[Prototype, ...]:
+    return tuple(
+        Prototype(
+            data=np.asarray(p["data"], dtype=np.float64),
+            class_id=int(p["class_id"]),
+            n_epochs=int(p["n_epochs"]),
+        )
+        for p in docs
+    )
+
+
+def _recipe_from_doc(doc) -> FeatureRecipe:
     return FeatureRecipe(
-        modality=doc["modality"],
-        prototypes=tuple(
-            Prototype(
-                data=np.asarray(p["data"], dtype=np.float64),
-                class_id=int(p["class_id"]),
-                n_epochs=int(p["n_epochs"]),
-            )
-            for p in doc["prototypes"]
-        ),
-        freqs=tuple(doc["freqs"]),
-        width_hz=float(doc["width_hz"]),
-        order=int(doc["order"]),
-        shrinkage=doc["shrinkage"],
-        n_subjects=int(doc["n_subjects"]),
+        modality=_field(doc, "modality", "recipe"),
+        prototypes=_field(doc, "prototypes", "recipe", _prototypes_from_doc),
+        freqs=_field(doc, "freqs", "recipe", lambda v: tuple(float(f) for f in v)),
+        width_hz=_field(doc, "width_hz", "recipe", float),
+        order=_field(doc, "order", "recipe", int),
+        shrinkage=_field(doc, "shrinkage", "recipe"),
+        n_subjects=_field(doc, "n_subjects", "recipe", int),
     )
 
 
@@ -189,19 +213,25 @@ def model_to_doc(model) -> dict:
     }
 
 
+def _ints(v) -> tuple[int, ...]:
+    return tuple(int(z) for z in v)
+
+
+def _spd_matrices(v) -> tuple[SpdMatrix, ...]:
+    return tuple(SpdMatrix(np.asarray(m, dtype=np.float64)) for m in v)
+
+
 def model_from_doc(doc: dict):
     from .mdm import MdmModel
 
-    for key in ("format", "class_ids", "counts", "recipe", "means"):
-        if key not in doc:
-            raise FileFormatError(f"model document missing field '{key}'")
-    if doc["format"] != "mdm-model":
+    where = "model document"
+    if _field(doc, "format", where) != "mdm-model":
         raise FileFormatError(f"unexpected document format {doc['format']!r}")
     return MdmModel(
-        class_ids=tuple(int(z) for z in doc["class_ids"]),
-        means=tuple(SpdMatrix(np.asarray(m, dtype=np.float64)) for m in doc["means"]),
-        recipe=_recipe_from_doc(doc["recipe"]),
-        counts=tuple(int(c) for c in doc["counts"]),
+        class_ids=_field(doc, "class_ids", where, _ints),
+        means=_field(doc, "means", where, _spd_matrices),
+        recipe=_field(doc, "recipe", where, _recipe_from_doc),
+        counts=_field(doc, "counts", where, _ints),
     )
 
 
@@ -210,11 +240,7 @@ def save_model(path, model) -> None:
 
 
 def load_model(path):
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"unparseable model document: {exc}") from exc
-    return model_from_doc(doc)
+    return model_from_doc(_read_document(path, "model document"))
 
 
 def save_fused(path, fused) -> None:
@@ -241,24 +267,27 @@ def save_fused(path, fused) -> None:
 def load_fused(path):
     from .adaptive import FusedClassifier
 
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"unparseable classifier document: {exc}") from exc
-    if doc.get("format") != "fused-classifier":
-        raise FileFormatError(f"unexpected document format {doc.get('format')!r}")
+    where = "classifier document"
+    doc = _read_document(path, where)
+    if _field(doc, "format", where) != "fused-classifier":
+        raise FileFormatError(f"unexpected document format {doc['format']!r}")
     fused = FusedClassifier(
-        generic=model_from_doc(doc["generic"]),
-        ramp=int(doc["ramp"]),
-        update=doc["update"],
+        generic=_field(doc, "generic", where, model_from_doc),
+        ramp=_field(doc, "ramp", where, int),
+        update=_field(doc, "update", where),
     )
-    fused.n_rep = float(doc["n_rep"])
-    for z, values in doc["individual_means"].items():
-        fused.individual_means[int(z)] = SpdMatrix(
-            np.asarray(values, dtype=np.float64)
+    fused.n_rep = _field(doc, "n_rep", where, float)
+    fused.individual_means.update(
+        _field(
+            doc, "individual_means", where,
+            lambda d: dict(zip(_ints(d), _spd_matrices(d.values()))),
         )
+    )
     fused.individual_counts.update(
-        {int(z): int(c) for z, c in doc["individual_counts"].items()}
+        _field(
+            doc, "individual_counts", where,
+            lambda d: dict(zip(_ints(d), _ints(d.values()))),
+        )
     )
     return fused
 

@@ -1,15 +1,17 @@
 """Modality-specific covariance features built from epochs.
 
 Every classifier in this package consumes one structured SPD matrix per
-trial.  What that matrix looks like depends on the modality:
+trial.  Apart from SSVEP, every modality's matrix is the covariance of a
+super-trial, built by :func:`super_trial_cov` from stacked row groups;
+the modalities differ only in which rows they stack:
 
-* motor imagery: the plain spatial sample covariance;
-* ERP / P300: the covariance of a super-trial, the trial stacked under
-  per-class temporal prototypes, whose cross blocks carry the temporal
-  correlation between trial and prototype;
-* SSVEP: a block-diagonal matrix of per-frequency-band covariances;
-* multi-user P300: the covariance of all subjects' trials stacked under
-  one shared prototype, including the inter-subject cross blocks.
+* motor imagery: the trial alone, i.e. the plain spatial sample covariance;
+* ERP / P300: the per-class temporal prototypes (two-class P300: the
+  target prototype only) above the trial, whose cross blocks carry the
+  temporal correlation between trial and prototype;
+* multi-user P300: one shared prototype above every subject's trial,
+  including the inter-subject cross blocks;
+* SSVEP: a block-diagonal matrix of per-frequency-band covariances.
 
 Super-trial covariances are rank-deficient whenever the stacked dimension
 exceeds the sample count, so shrinkage toward a scaled identity is applied
@@ -19,6 +21,7 @@ to guarantee positive definiteness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -117,16 +120,7 @@ def shrink(c: SymmetricMatrix | np.ndarray, gamma: float | str) -> SpdMatrix:
     """
     values = c.values if isinstance(c, SymmetricMatrix) else np.asarray(c, float)
     if gamma == "auto":
-        last_error = None
-        for g in AUTO_SHRINKAGE_LADDER:
-            try:
-                return shrink(values, g)
-            except NotPositiveDefiniteError as exc:
-                last_error = exc
-        raise NotPositiveDefiniteError(
-            "no shrinkage level in the auto ladder produced a positive-definite "
-            "matrix (is the input identically zero?)"
-        ) from last_error
+        return _auto_shrinkage(lambda g: shrink(values, g))
     _validate_shrinkage(gamma)
     gamma = float(gamma)
     if gamma == 0.0:
@@ -137,11 +131,18 @@ def shrink(c: SymmetricMatrix | np.ndarray, gamma: float | str) -> SpdMatrix:
     )
 
 
-def _raw_cov(x: np.ndarray) -> np.ndarray:
-    """X X^T / (T - 1), symmetrized; shared by every feature builder."""
-    t = x.shape[1]
-    c = x @ x.T / (t - 1)
-    return 0.5 * (c + c.T)
+def _auto_shrinkage(build: Callable[[float], SpdMatrix]) -> SpdMatrix:
+    """``build(g)`` for the smallest ladder level g whose result is SPD."""
+    last_error = None
+    for g in AUTO_SHRINKAGE_LADDER:
+        try:
+            return build(g)
+        except NotPositiveDefiniteError as exc:
+            last_error = exc
+    raise NotPositiveDefiniteError(
+        "no shrinkage level in the auto ladder produced a positive-definite "
+        "matrix (is the input identically zero?)"
+    ) from last_error
 
 
 def _stacked_cov(rows: list[np.ndarray]) -> np.ndarray:
@@ -162,11 +163,23 @@ def _stacked_cov(rows: list[np.ndarray]) -> np.ndarray:
     return 0.5 * (c + c.T)
 
 
-def sample_covariance(e: Epoch, shrinkage: float | str = 0.0) -> SpdMatrix:
-    """Spatial sample covariance X X^T / (T - 1) of a zero-mean trial."""
-    if e.n_samples < 2:
+def super_trial_cov(rows: list[np.ndarray], shrinkage: float | str) -> SpdMatrix:
+    """Shrunk covariance X X^T / (T - 1) of the super-trial X = [rows; ...].
+
+    Every row group is a zero-mean (channels, T) array over the same T
+    samples, stacked top to bottom; a single group gives the plain spatial
+    sample covariance.
+    """
+    t = rows[0].shape[1]
+    for r in rows:
+        if r.shape[1] != t:
+            raise ContractError(
+                f"super-trial rows must share one sample count, got "
+                f"{[r.shape[1] for r in rows]}"
+            )
+    if t < 2:
         raise ContractError("sample covariance needs at least 2 samples")
-    return shrink(_raw_cov(e.data), shrinkage)
+    return shrink(_stacked_cov(rows), shrinkage)
 
 
 def build_prototypes(
@@ -197,45 +210,6 @@ def build_prototypes(
     return protos
 
 
-def _check_proto_dims(e: Epoch, protos: tuple[Prototype, ...] | list[Prototype]):
-    for p in protos:
-        if p.data.shape != e.data.shape:
-            raise ContractError(
-                f"prototype for class {p.class_id} has shape {p.data.shape}, "
-                f"epoch has {e.data.shape}"
-            )
-
-
-def erp_super_cov(
-    e: Epoch,
-    protos: list[Prototype],
-    shrinkage: float | str = "auto",
-) -> SpdMatrix:
-    """Covariance of the (Z+1)N x T super-trial [prototypes; trial].
-
-    Prototype blocks come first in ascending class-id order, the trial
-    block last.  The prototype blocks are constant across trials; the
-    cross blocks carry the trial-to-prototype temporal covariance that
-    actually discriminates ERP classes.
-    """
-    if not protos:
-        raise ContractError("erp super-trial requires at least one prototype")
-    ordered = sorted(protos, key=lambda p: p.class_id)
-    _check_proto_dims(e, ordered)
-    stacked_protos = np.vstack([p.data for p in ordered])
-    return shrink(_stacked_cov([stacked_protos, e.data]), shrinkage)
-
-
-def p300_super_cov(
-    e: Epoch,
-    target_proto: Prototype,
-    shrinkage: float | str = "auto",
-) -> SpdMatrix:
-    """Two-class P300 special case: 2N x 2N covariance of [target prototype; trial]."""
-    _check_proto_dims(e, [target_proto])
-    return shrink(_stacked_cov([target_proto.data, e.data]), shrinkage)
-
-
 def ssvep_block_cov(
     bank: list[Epoch],
     shrinkage: float | str = "auto",
@@ -252,23 +226,12 @@ def ssvep_block_cov(
     for b in bank:
         if b.n_channels != n or b.n_samples != t:
             raise ContractError("filter-bank epochs must share channel/sample counts")
-    if t < 2:
-        raise ContractError("sample covariance needs at least 2 samples")
-    raw_blocks = [_raw_cov(b.data) for b in bank]
+    raw_blocks = [_stacked_cov([b.data]) for b in bank]
     if shrinkage == "auto":
         # One ladder level for all bands: the smallest gamma that makes the
         # assembled matrix positive definite, so weak bands get a floor
         # commensurate with the global eigenvalue check.
-        last_error = None
-        for g in AUTO_SHRINKAGE_LADDER:
-            try:
-                return _assemble_block_diag(raw_blocks, g)
-            except NotPositiveDefiniteError as exc:
-                last_error = exc
-        raise NotPositiveDefiniteError(
-            "no shrinkage level in the auto ladder made the block-diagonal "
-            "matrix positive definite"
-        ) from last_error
+        return _auto_shrinkage(lambda g: _assemble_block_diag(raw_blocks, g))
     return _assemble_block_diag(raw_blocks, shrinkage)
 
 
@@ -279,34 +242,6 @@ def _assemble_block_diag(raw_blocks: list[np.ndarray], gamma) -> SpdMatrix:
     for i, raw in enumerate(raw_blocks):
         out[i * n : (i + 1) * n, i * n : (i + 1) * n] = shrink(raw, gamma).values
     return SpdMatrix(out)
-
-
-def mu_p300_super_cov(
-    epochs: list[Epoch],
-    target_proto: Prototype,
-    shrinkage: float | str = "auto",
-) -> SpdMatrix:
-    """(M+1)N x (M+1)N covariance of [prototype; subject 1; ...; subject M].
-
-    One shared temporal prototype serves all subjects.  Besides each
-    subject's prototype cross block, the result contains the inter-subject
-    blocks X_i X_j^T, which are large only when the synchronized response
-    is present in both subjects' trials.
-    """
-    if not epochs:
-        raise ContractError("multi-user feature requires at least one epoch")
-    shape = epochs[0].data.shape
-    for e in epochs:
-        if e.data.shape != shape:
-            raise ContractError(
-                f"subject epochs must be time-aligned: {e.data.shape} vs {shape}"
-            )
-    if target_proto.data.shape != shape:
-        raise ContractError(
-            f"prototype shape {target_proto.data.shape} does not match trials {shape}"
-        )
-    rows = [target_proto.data] + [e.data for e in epochs]
-    return shrink(_stacked_cov(rows), shrinkage)
 
 
 def build_recipe(
@@ -348,45 +283,40 @@ def build_recipe(
 
 
 def featurize(e: Epoch, recipe: FeatureRecipe) -> SpdMatrix:
-    """Build the recipe's feature matrix for one (preprocessed) epoch."""
-    if recipe.modality == MI:
-        return sample_covariance(e, recipe.shrinkage)
-    if recipe.modality == ERP_MULTI:
-        return erp_super_cov(e, list(recipe.prototypes), recipe.shrinkage)
-    if recipe.modality == P300:
-        return p300_super_cov(e, recipe.prototypes[0], recipe.shrinkage)
+    """Build the recipe's feature matrix for one (preprocessed) epoch.
+
+    Prototype blocks come first (ascending class id), the trial last; a
+    multi-user epoch stacks its subjects' channels and is split into one
+    trial per subject.  Prototype blocks are constant across trials, the
+    cross blocks carry what discriminates the classes.
+    """
     if recipe.modality == SSVEP:
         bank = ssvep_filter_bank(
             e, list(recipe.freqs), width_hz=recipe.width_hz, order=recipe.order
         )
         return ssvep_block_cov(bank, recipe.shrinkage)
+    protos = recipe.prototypes
+    trials = [e.data]
     if recipe.modality == MU_P300:
-        proto = recipe.prototypes[0]
-        n = proto.n_channels
+        n = protos[0].n_channels
         m = recipe.n_subjects
         if e.n_channels != m * n:
             raise ContractError(
                 f"multi-user epoch needs {m} x {n} stacked channels, "
                 f"got {e.n_channels}"
             )
-        subs = [
-            Epoch(e.data[i * n : (i + 1) * n], fs=e.fs, label=e.label)
-            for i in range(m)
-        ]
-        return mu_p300_super_cov(subs, proto, recipe.shrinkage)
-    raise ContractError(f"unknown modality {recipe.modality!r}")
-
-
-def feature_dim(recipe: FeatureRecipe, n_channels: int) -> int:
-    """Side length of the feature matrix the recipe produces."""
+        trials = [e.data[i * n : (i + 1) * n] for i in range(m)]
+    for p in protos:
+        if p.data.shape != trials[0].shape:
+            raise ContractError(
+                f"prototype for class {p.class_id} has shape {p.data.shape}, "
+                f"trial has {trials[0].shape}"
+            )
     if recipe.modality == MI:
-        return n_channels
-    if recipe.modality == ERP_MULTI:
-        return n_channels * (len(recipe.prototypes) + 1)
-    if recipe.modality == P300:
-        return 2 * n_channels
-    if recipe.modality == SSVEP:
-        return n_channels * len(recipe.freqs)
-    if recipe.modality == MU_P300:
-        return (recipe.n_subjects + 1) * recipe.prototypes[0].n_channels
-    raise ContractError(f"unknown modality {recipe.modality!r}")
+        rows = trials
+    elif recipe.modality == ERP_MULTI:
+        ordered = sorted(protos, key=lambda p: p.class_id)
+        rows = [np.vstack([p.data for p in ordered])] + trials
+    else:  # P300 and MU_P300 stack the target prototype alone
+        rows = [protos[0].data] + trials
+    return super_trial_cov(rows, recipe.shrinkage)

@@ -149,53 +149,42 @@ def soft_scores(dv: DistanceVector) -> np.ndarray:
     return weights / weights.sum()
 
 
-def _two_class_ids(
-    model: MdmModel, target_class: int | None, nontarget_class: int | None
-) -> tuple[int, int]:
-    if target_class is None or nontarget_class is None:
-        if len(model.class_ids) != 2:
-            raise ContractError(
-                "target/non-target classes must be given for a "
-                f"{len(model.class_ids)}-class model"
-            )
-        lo, hi = model.class_ids
-        target_class = hi if target_class is None else target_class
-        nontarget_class = lo if nontarget_class is None else nontarget_class
-    if target_class not in model.class_ids or nontarget_class not in model.class_ids:
-        raise ContractError("target/non-target ids must be model classes")
-    return target_class, nontarget_class
+def target_contrast(dv: DistanceVector) -> float:
+    """d(target mean) - d(non-target mean) of a two-class distance vector.
+
+    The higher class id is the target, so negative contrasts are
+    target-like.
+    """
+    if len(dv.class_ids) != 2:
+        raise ContractError(
+            f"target contrast needs a two-class model, got {len(dv.class_ids)} classes"
+        )
+    target = dv.class_ids.index(max(dv.class_ids))
+    return float(dv.values[target] - dv.values[1 - target])
 
 
-def cumulative_select(
-    model: MdmModel,
-    repetitions: list[dict],
-    target_class: int | None = None,
-    nontarget_class: int | None = None,
-):
-    """Pick the item whose cumulated distance contrast is most target-like.
+def most_target_like(scores: dict[int, float]) -> int:
+    """Item with the lowest cumulated contrast; ties go to the lowest item id."""
+    return min(scores, key=lambda item: (scores[item], item))
+
+
+def cumulative_select(model: MdmModel, repetitions: list[dict]):
+    """Pick the item whose cumulated target contrast is most target-like.
 
     Each repetition maps item id -> epoch, covering the same item set.  For
-    every item the per-repetition contrast d(target mean) - d(non-target
-    mean) is summed over repetitions; the item with the smallest sum wins,
-    ties breaking toward the lowest item id.  By default (two-class model)
-    the higher class id is the target.
+    every item the per-repetition :func:`target_contrast` is summed over
+    repetitions and :func:`most_target_like` picks the winner.
     """
     if not repetitions:
         raise ContractError("need at least one repetition")
-    target_class, nontarget_class = _two_class_ids(
-        model, target_class, nontarget_class
-    )
     items = sorted(repetitions[0])
     scores = {item: 0.0 for item in items}
-    ti = model.class_ids.index(target_class)
-    ni = model.class_ids.index(nontarget_class)
     for rep in repetitions:
         if sorted(rep) != items:
             raise ContractError("every repetition must cover the same item set")
         for item in items:
-            dv = distances(model, rep[item])
-            scores[item] += dv.values[ti] - dv.values[ni]
-    return min(items, key=lambda item: (scores[item], item))
+            scores[item] += target_contrast(distances(model, rep[item]))
+    return most_target_like(scores)
 
 
 def auc(scores: list[tuple[float, int]]) -> float:

@@ -26,7 +26,13 @@ from .adaptive import FusedClassifier
 from .datasets import SyntheticSpec, generate_p300, p300_trial, _mixing
 from .errors import ContractError
 from .features import DEFAULT_ERP_SHRINKAGE, P300, build_recipe
-from .mdm import MdmModel, MeanConfig, distances
+from .mdm import (
+    MdmModel,
+    MeanConfig,
+    distances,
+    most_target_like,
+    target_contrast,
+)
 from .preprocessing import Epoch, demean
 
 ADAPTIVE = "adaptive"
@@ -77,24 +83,6 @@ class SessionSummary:
     solved_levels: int
 
 
-def _rep_scores(clf, epochs_by_item: dict[int, Epoch]) -> dict[int, float]:
-    """Distance contrast d(target mean) - d(non-target mean) per item."""
-    if isinstance(clf, FusedClassifier):
-        class_ids = clf.generic.class_ids
-        dist_fn = clf.fused_distances
-    else:
-        class_ids = clf.class_ids
-        dist_fn = lambda e: distances(clf, e)
-    if len(class_ids) != 2:
-        raise ContractError("level replay needs a two-class target/non-target model")
-    lo, hi = class_ids
-    scores = {}
-    for item in sorted(epochs_by_item):
-        dv = dist_fn(epochs_by_item[item])
-        scores[item] = float(dv.values[class_ids.index(hi)] - dv.values[class_ids.index(lo)])
-    return scores
-
-
 def run_level(spec: LevelSpec, clf, mode: str) -> LevelResult:
     """Play one level to completion or to the repetition cap.
 
@@ -105,11 +93,10 @@ def run_level(spec: LevelSpec, clf, mode: str) -> LevelResult:
     """
     if mode not in (ADAPTIVE, NON_ADAPTIVE):
         raise ContractError(f"unknown mode {mode!r}")
-    if mode == ADAPTIVE and not isinstance(clf, FusedClassifier):
+    fused = isinstance(clf, FusedClassifier)
+    if mode == ADAPTIVE and not fused:
         raise ContractError("adaptive mode needs a FusedClassifier")
-    target_class = max(
-        clf.generic.class_ids if isinstance(clf, FusedClassifier) else clf.class_ids
-    )
+    class_ids = clf.generic.class_ids if fused else clf.class_ids
     expected_items = None
     cumulative: dict[int, float] = {}
     selections: list[int] = []
@@ -127,16 +114,16 @@ def run_level(spec: LevelSpec, clf, mode: str) -> LevelResult:
             cumulative = {item: 0.0 for item in expected_items}
         elif sorted(epochs_by_item) != expected_items:
             raise ContractError("every repetition must cover the same item set")
-        for item, score in _rep_scores(clf, epochs_by_item).items():
-            cumulative[item] += score
-        selected = min(expected_items, key=lambda item: (cumulative[item], item))
+        for item in expected_items:
+            e = epochs_by_item[item]
+            dv = clf.fused_distances(e) if fused else distances(clf, e)
+            cumulative[item] += target_contrast(dv)
+        selected = most_target_like(cumulative)
         selections.append(selected)
         if mode == ADAPTIVE:
             # supervised update, applied only after the selection was used
             for item in expected_items:
-                label = target_class if item == spec.target else min(
-                    clf.generic.class_ids
-                )
+                label = max(class_ids) if item == spec.target else min(class_ids)
                 clf.absorb(
                     epochs_by_item[item], label, rep_increment=1.0 / spec.n_items
                 )

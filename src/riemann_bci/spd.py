@@ -121,18 +121,6 @@ class SpdMatrix(SymmetricMatrix):
         return self._inv_sqrt
 
 
-def evd(m: SymmetricMatrix) -> Evd:
-    """Eigenvalue-eigenvector decomposition with eigenvalues sorted descending.
-
-    Deterministic for identical input; the reconstruction U diag(w) U^T
-    matches the input to machine precision.
-    """
-    if isinstance(m, SpdMatrix):
-        return m.eig
-    w, u = _eigh_descending(m.values)
-    return Evd(vectors=u, eigenvalues=w)
-
-
 _SPD_EIGENVALUE_MAPS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "inverse": lambda w: 1.0 / w,
     "sqrt": np.sqrt,
@@ -202,14 +190,6 @@ def geodesic(c1: SpdMatrix, c2: SpdMatrix, t: float) -> SpdMatrix:
         raise NumericError("whitened matrix lost positive definiteness")
     inner = _rebuild(u, w**t)
     return SpdMatrix(sq @ inner @ sq)
-
-
-def arithmetic_mean(mats: Sequence[SpdMatrix]) -> SpdMatrix:
-    """Element-wise average; SPD by convexity of the cone."""
-    if len(mats) == 0:
-        raise ContractError("arithmetic mean of an empty set")
-    _check_equal_dims(mats)
-    return SpdMatrix(np.mean([m.values for m in mats], axis=0))
 
 
 def geometric_mean(

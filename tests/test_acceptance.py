@@ -25,16 +25,15 @@ from riemann_bci.datasets import (
 from riemann_bci.features import (
     DEFAULT_ERP_SHRINKAGE,
     MI,
+    MU_P300,
     P300,
     SSVEP,
     FeatureRecipe,
     Prototype,
     build_recipe,
-    mu_p300_super_cov,
-    p300_super_cov,
-    sample_covariance,
+    featurize,
     ssvep_block_cov,
-    _raw_cov,
+    super_trial_cov,
     _stacked_cov,
 )
 from riemann_bci.mdm import DistanceVector
@@ -149,8 +148,8 @@ def test_criterion_3_feature_correctness():
     # sample-covariance invariance under column permutation, exact
     x = rng.integers(-8, 9, size=(6, 120)).astype(float)
     perm = rng.permutation(120)
-    c0 = sample_covariance(Epoch(x, fs=128.0)).values
-    c1 = sample_covariance(Epoch(x[:, perm], fs=128.0)).values
+    c0 = super_trial_cov([x], 0.0).values
+    c1 = super_trial_cov([x[:, perm]], 0.0).values
     assert np.array_equal(c0, c1)
 
     # shuffling the trial changes the cross blocks, not the trial block
@@ -160,7 +159,7 @@ def test_criterion_3_feature_correctness():
     raw_shuffled = _stacked_cov([proto_data, trial[:, rng.permutation(100)]])
     assert np.array_equal(raw[5:, 5:], raw_shuffled[5:, 5:])
     assert not np.array_equal(raw[5:, :5], raw_shuffled[5:, :5])
-    assert np.array_equal(raw[5:, 5:], _raw_cov(trial))
+    assert np.array_equal(raw[5:, 5:], _stacked_cov([trial]))
 
     # block-diagonal SSVEP covariance has bit-zero off-diagonal blocks
     bank = [Epoch(rng.standard_normal((6, 90)), fs=512.0) for _ in range(3)]
@@ -173,8 +172,10 @@ def test_criterion_3_feature_correctness():
     # single-subject multi-user covariance equals the two-class form entry-wise
     proto = Prototype(rng.standard_normal((6, 80)), class_id=1, n_epochs=3)
     e = Epoch(rng.standard_normal((6, 80)), fs=128.0)
-    mu = mu_p300_super_cov([e], proto, shrinkage=1e-4).values
-    p3 = p300_super_cov(e, proto, shrinkage=1e-4).values
+    mu = featurize(
+        e, FeatureRecipe(MU_P300, prototypes=(proto,), shrinkage=1e-4)
+    ).values
+    p3 = featurize(e, FeatureRecipe(P300, prototypes=(proto,), shrinkage=1e-4)).values
     assert np.array_equal(mu, p3)
     report(3, "sample/super covariance block structure exact")
 

@@ -1,4 +1,7 @@
 import csv
+import json
+
+import pytest
 
 from riemann_bci.cli import main
 from riemann_bci.datasets import read_epochs
@@ -218,3 +221,80 @@ class TestSimulate:
                     "--out", str(out)])
         assert code == 0
         assert "repetition cap" in capsys.readouterr().out
+
+
+def _eval(tmp_path, model, data, report=None):
+    report = report or tmp_path / "r.csv"
+    return ["eval", "--model", str(model), "--in", str(data), "--report", str(report)]
+
+
+def _fit(tmp_path, data):
+    out = tmp_path / "m.json"
+    return ["fit", "--modality", "mi", "--in", str(data), "--out", str(out)]
+
+
+def _rewritten_model(tmp_path, model, mutate):
+    doc = json.loads(model.read_text())
+    mutate(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    return bad
+
+
+def _missing_freqs(tmp_path, model, data):
+    bad = _rewritten_model(tmp_path, model, lambda doc: doc["recipe"].pop("freqs"))
+    return _eval(tmp_path, bad, data), "'freqs'"
+
+
+def _non_utf8_model(tmp_path, model, data):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"format": "\xff\xfe"}')
+    return _eval(tmp_path, bad, data), str(bad)
+
+
+def _string_class_ids(tmp_path, model, data):
+    bad = _rewritten_model(tmp_path, model, lambda doc: doc.update(class_ids="ab"))
+    return _eval(tmp_path, bad, data), "'class_ids'"
+
+
+def _missing_model(tmp_path, model, data):
+    missing = tmp_path / "nope.json"
+    return _eval(tmp_path, missing, data), str(missing)
+
+
+def _missing_input(tmp_path, model, data):
+    missing = tmp_path / "nope.dat"
+    return _fit(tmp_path, missing), str(missing)
+
+
+def _number_header(tmp_path, model, data):
+    bad = tmp_path / "bad.dat"
+    bad.write_bytes(b"5\n")
+    return _fit(tmp_path, bad), "header"
+
+
+def _report_in_missing_dir(tmp_path, model, data):
+    report = tmp_path / "no_such_dir" / "r.csv"
+    return _eval(tmp_path, model, data, report), str(report)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [_missing_freqs, _non_utf8_model, _string_class_ids, _missing_model,
+     _missing_input, _number_header, _report_in_missing_dir],
+    ids=lambda case: case.__name__.lstrip("_"),
+)
+def test_bad_input_is_data_error(tmp_path, capsys, case):
+    """Malformed documents and unusable paths exit 3 with an error line
+    naming the field or path, never with a traceback."""
+    data = tmp_path / "mi.dat"
+    model = tmp_path / "model.json"
+    assert run(["synth", "--modality", "mi", "--trials", "4", "--samples", "64",
+                "--seed", "0", "--out", str(data)]) == 0
+    assert run(["fit", "--modality", "mi", "--in", str(data),
+                "--out", str(model)]) == 0
+    capsys.readouterr()
+    argv, named = case(tmp_path, model, data)
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err, err

@@ -13,15 +13,10 @@ from riemann_bci.features import (
     FeatureRecipe,
     Prototype,
     build_prototypes,
-    erp_super_cov,
-    feature_dim,
     featurize,
-    mu_p300_super_cov,
-    p300_super_cov,
-    sample_covariance,
     shrink,
     ssvep_block_cov,
-    _raw_cov,
+    super_trial_cov,
     _stacked_cov,
 )
 from riemann_bci.preprocessing import Epoch, ssvep_filter_bank
@@ -35,16 +30,39 @@ def integer_epoch(rng, n, t, label=None):
     return Epoch(rng.integers(-8, 9, size=(n, t)).astype(float), fs=128.0, label=label)
 
 
+def spatial_cov(e: Epoch, shrinkage: float | str = 0.0) -> SpdMatrix:
+    """The spatial sample covariance: the super-trial of the trial alone."""
+    return super_trial_cov([e.data], shrinkage)
+
+
+def erp_feature(e: Epoch, protos, shrinkage: float | str = "auto") -> SpdMatrix:
+    recipe = FeatureRecipe(ERP_MULTI, prototypes=tuple(protos), shrinkage=shrinkage)
+    return featurize(e, recipe)
+
+
+def p300_feature(e: Epoch, proto, shrinkage: float | str = "auto") -> SpdMatrix:
+    return featurize(e, FeatureRecipe(P300, prototypes=(proto,), shrinkage=shrinkage))
+
+
+def mu_p300_feature(epochs, proto, shrinkage: float | str = "auto") -> SpdMatrix:
+    """Multi-user feature of per-subject epochs, stacked as the recipe expects."""
+    stacked = Epoch(np.vstack([e.data for e in epochs]), fs=epochs[0].fs)
+    recipe = FeatureRecipe(
+        MU_P300, prototypes=(proto,), shrinkage=shrinkage, n_subjects=len(epochs)
+    )
+    return featurize(stacked, recipe)
+
+
 class TestSampleCovariance:
     def test_hand_computed_1x2(self):
         e = Epoch(np.array([[1.0, -1.0]]), fs=128.0)
-        out = sample_covariance(e)
+        out = spatial_cov(e)
         np.testing.assert_array_equal(out.values, [[2.0]])
 
     def test_orthogonal_rows_give_diagonal(self):
         t = np.arange(256) / 128.0
         x = np.vstack([np.sin(2 * np.pi * 8 * t), np.cos(2 * np.pi * 8 * t)])
-        out = sample_covariance(Epoch(x, fs=128.0))
+        out = spatial_cov(Epoch(x, fs=128.0))
         assert abs(out.values[0, 1]) <= 1e-10
 
     def test_sample_permutation_invariance_exact(self, rng):
@@ -52,7 +70,7 @@ class TestSampleCovariance:
         perm = rng.permutation(200)
         shuffled = Epoch(e.data[:, perm], fs=e.fs)
         np.testing.assert_array_equal(
-            sample_covariance(e).values, sample_covariance(shuffled).values
+            spatial_cov(e).values, spatial_cov(shuffled).values
         )
 
     def test_too_few_samples(self):
@@ -158,7 +176,7 @@ class TestErpSuperCov:
             for z in (0, 1)
         ]
         e = Epoch(rng.standard_normal((16, 64)), fs=128.0)
-        out = erp_super_cov(e, protos)
+        out = erp_feature(e, protos)
         assert out.dim == 48
 
     def test_trial_equals_prototype_cross_block(self, rng):
@@ -187,7 +205,7 @@ class TestErpSuperCov:
         ]
         e = Epoch(rng.standard_normal((3, 50)), fs=128.0)
         raw = _stacked_cov([np.vstack([p.data for p in protos]), e.data])
-        np.testing.assert_array_equal(raw[9:, 9:], _raw_cov(e.data))
+        np.testing.assert_array_equal(raw[9:, 9:], _stacked_cov([e.data]))
 
     def test_prototype_blocks_constant_across_trials(self, rng):
         protos = [
@@ -205,7 +223,7 @@ class TestErpSuperCov:
         pa = Prototype(np.ones((2, 30)), class_id=2, n_epochs=1)
         pb = Prototype(np.zeros((2, 30)), class_id=1, n_epochs=1)
         e = Epoch(rng.standard_normal((2, 30)), fs=128.0)
-        out = erp_super_cov(e, [pa, pb], shrinkage=1e-4)
+        out = erp_feature(e, [pa, pb], shrinkage=1e-4)
         # class 1 (zeros) must occupy the first block regardless of list order
         assert np.all(np.abs(out.values[:2, :2]) <= np.abs(out.values[2:4, 2:4]).max())
 
@@ -213,14 +231,14 @@ class TestErpSuperCov:
         proto = Prototype(rng.standard_normal((4, 50)), class_id=0, n_epochs=1)
         e = Epoch(rng.standard_normal((3, 50)), fs=128.0)
         with pytest.raises(ContractError):
-            erp_super_cov(e, [proto])
+            erp_feature(e, [proto])
 
 
 class TestP300SuperCov:
     def test_dims(self, rng):
         proto = Prototype(rng.standard_normal((16, 64)), class_id=1, n_epochs=1)
         e = Epoch(rng.standard_normal((16, 64)), fs=128.0)
-        assert p300_super_cov(e, proto).dim == 32
+        assert p300_feature(e, proto).dim == 32
 
     def test_target_cross_block_larger_monte_carlo(self, rng):
         n, t = 4, 64
@@ -240,7 +258,7 @@ class TestP300SuperCov:
     def test_zero_trial_gives_shrinkage_floor(self, rng):
         proto = Prototype(rng.standard_normal((3, 40)), class_id=1, n_epochs=1)
         e = Epoch(np.zeros((3, 40)), fs=128.0)
-        out = p300_super_cov(e, proto, shrinkage="auto")
+        out = p300_feature(e, proto, shrinkage="auto")
         trial_block = out.values[3:, 3:]
         cross_block = out.values[3:, :3]
         assert np.allclose(cross_block, 0.0)
@@ -251,8 +269,8 @@ class TestP300SuperCov:
     def test_agrees_with_single_class_erp(self, rng):
         proto = Prototype(rng.standard_normal((3, 50)), class_id=1, n_epochs=1)
         e = Epoch(rng.standard_normal((3, 50)), fs=128.0)
-        a = p300_super_cov(e, proto, shrinkage=1e-6)
-        b = erp_super_cov(e, [proto], shrinkage=1e-6)
+        a = p300_feature(e, proto, shrinkage=1e-6)
+        b = erp_feature(e, [proto], shrinkage=1e-6)
         np.testing.assert_array_equal(a.values, b.values)
 
 
@@ -283,7 +301,7 @@ class TestSsvepBlockCov:
     def test_single_band_reduces_to_sample_covariance(self, rng):
         e = Epoch(rng.standard_normal((4, 200)), fs=128.0)
         out = ssvep_block_cov([e], shrinkage=0.0)
-        np.testing.assert_array_equal(out.values, sample_covariance(e).values)
+        np.testing.assert_array_equal(out.values, spatial_cov(e).values)
 
     def test_mismatched_bank_rejected(self, rng):
         bank = [
@@ -298,14 +316,14 @@ class TestMuP300SuperCov:
     def test_single_subject_equals_p300(self, rng):
         proto = Prototype(rng.standard_normal((5, 60)), class_id=1, n_epochs=1)
         e = Epoch(rng.standard_normal((5, 60)), fs=128.0)
-        a = mu_p300_super_cov([e], proto, shrinkage=1e-4)
-        b = p300_super_cov(e, proto, shrinkage=1e-4)
+        a = mu_p300_feature([e], proto, shrinkage=1e-4)
+        b = p300_feature(e, proto, shrinkage=1e-4)
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_dims_two_subjects(self, rng):
         proto = Prototype(rng.standard_normal((16, 64)), class_id=1, n_epochs=1)
         epochs = [Epoch(rng.standard_normal((16, 64)), fs=128.0) for _ in range(2)]
-        assert mu_p300_super_cov(epochs, proto).dim == 48
+        assert mu_p300_feature(epochs, proto).dim == 48
 
     def test_synchronized_response_raises_inter_subject_block(self, rng):
         n, t = 4, 64
@@ -317,10 +335,10 @@ class TestMuP300SuperCov:
             s2 = template + 0.7 * rng.standard_normal((n, t))
             n1 = rng.standard_normal((n, t))
             n2 = rng.standard_normal((n, t))
-            target = mu_p300_super_cov(
+            target = mu_p300_feature(
                 [Epoch(s1, fs=128.0), Epoch(s2, fs=128.0)], proto, shrinkage=1e-6
             )
-            nontarget = mu_p300_super_cov(
+            nontarget = mu_p300_feature(
                 [Epoch(n1, fs=128.0), Epoch(n2, fs=128.0)], proto, shrinkage=1e-6
             )
             sync_norms.append(np.linalg.norm(target.values[n : 2 * n, 2 * n :], "fro"))
@@ -336,7 +354,7 @@ class TestMuP300SuperCov:
             Epoch(rng.standard_normal((3, 49)), fs=128.0),
         ]
         with pytest.raises(ContractError):
-            mu_p300_super_cov(epochs, proto)
+            super_trial_cov([proto.data] + [e.data for e in epochs], "auto")
 
 
 class TestFeaturizeAndRecipe:
@@ -344,25 +362,25 @@ class TestFeaturizeAndRecipe:
         e = Epoch(rng.standard_normal((4, 100)), fs=128.0)
         recipe = FeatureRecipe(modality=MI, shrinkage=0.0)
         out = featurize(e, recipe)
-        np.testing.assert_array_equal(out.values, sample_covariance(e).values)
-        assert feature_dim(recipe, 4) == 4
+        np.testing.assert_array_equal(out.values, spatial_cov(e).values)
+        assert out.dim == 4
 
     def test_p300_dispatch_dims(self, rng):
         proto = Prototype(rng.standard_normal((4, 80)), class_id=1, n_epochs=1)
         recipe = FeatureRecipe(modality=P300, prototypes=(proto,))
         e = Epoch(rng.standard_normal((4, 80)), fs=128.0)
-        assert featurize(e, recipe).dim == 8 == feature_dim(recipe, 4)
+        assert featurize(e, recipe).dim == 8
 
     def test_ssvep_dispatch_dims(self, rng):
         recipe = FeatureRecipe(modality=SSVEP, freqs=(12.0, 15.0, 20.0))
         e = Epoch(rng.standard_normal((6, 512)), fs=512.0)
-        assert featurize(e, recipe).dim == 18 == feature_dim(recipe, 6)
+        assert featurize(e, recipe).dim == 18
 
     def test_mu_dispatch_splits_stacked_channels(self, rng):
         proto = Prototype(rng.standard_normal((3, 60)), class_id=1, n_epochs=1)
         recipe = FeatureRecipe(modality=MU_P300, prototypes=(proto,), n_subjects=2)
         stacked = Epoch(rng.standard_normal((6, 60)), fs=128.0)
-        assert featurize(stacked, recipe).dim == 9 == feature_dim(recipe, 6)
+        assert featurize(stacked, recipe).dim == 9
 
     def test_every_builder_returns_spd(self, rng):
         proto = Prototype(rng.standard_normal((4, 30)), class_id=1, n_epochs=1)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from riemann_bci import mdm
 from riemann_bci.datasets import SyntheticSpec, default_mi_covariances, generate_mi
 from riemann_bci.errors import ContractError
-from riemann_bci.features import MI, FeatureRecipe, featurize, sample_covariance
+from riemann_bci.features import MI, FeatureRecipe, featurize, super_trial_cov
 from riemann_bci.mdm import DistanceVector, MdmModel
 from riemann_bci.preprocessing import Epoch, demean
 
@@ -35,10 +35,10 @@ class TestFit:
         e1 = mi_epochs(rng, label=1)
         model = mdm.fit([e0, e0.with_data(e0.data), e1, e1.with_data(e1.data)], MI_RECIPE)
         np.testing.assert_array_equal(
-            model.means[0].values, sample_covariance(e0).values
+            model.means[0].values, super_trial_cov([e0.data], 0.0).values
         )
         np.testing.assert_array_equal(
-            model.means[1].values, sample_covariance(e1).values
+            model.means[1].values, super_trial_cov([e1.data], 0.0).values
         )
 
     def test_requires_two_classes(self, rng):

@@ -103,6 +103,21 @@ class TestRunLevel:
         r2 = run_level(level, FusedClassifier(generic=generic), ADAPTIVE)
         assert r1 == r2
 
+    def test_selections_match_cumulative_select(self):
+        # weak response on item 1, nominal target 4: the level runs to its
+        # cap and the selection changes along the way
+        model = two_class_world()
+        source = oracle_source(1, 5, strength=1.2, seed=0)
+        spec = LevelSpec(
+            target=4, epoch_source=source, n_items=5, max_repetitions=6
+        )
+        result = run_level(spec, model, NON_ADAPTIVE)
+        assert result.nrd == 6 and len(set(result.selections)) > 1
+        reps = [source(r) for r in range(result.nrd)]
+        assert result.selections == tuple(
+            mdm.cumulative_select(model, reps[:r]) for r in range(1, result.nrd + 1)
+        )
+
 
 class TestRunSession:
     def test_oracle_session_summary(self):

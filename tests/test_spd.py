@@ -11,8 +11,7 @@ from riemann_bci.errors import (
 from riemann_bci.spd import (
     SpdMatrix,
     SymmetricMatrix,
-    arithmetic_mean,
-    evd,
+    _eigh_descending,
     geodesic,
     geometric_mean,
     karcher_residual,
@@ -25,23 +24,23 @@ from conftest import random_invertible, random_spd
 
 class TestEvd:
     def test_diagonal_input(self):
-        out = evd(SymmetricMatrix(np.diag([3.0, 1.0])))
+        out = SpdMatrix(np.diag([3.0, 1.0])).eig
         np.testing.assert_allclose(out.eigenvalues, [3.0, 1.0])
         np.testing.assert_allclose(np.abs(out.vectors), np.eye(2), atol=1e-12)
 
     def test_identity(self):
-        out = evd(SymmetricMatrix(np.eye(4)))
+        out = SpdMatrix(np.eye(4)).eig
         np.testing.assert_allclose(out.eigenvalues, np.ones(4))
 
     def test_reconstruction_oracle(self, rng):
         a = rng.standard_normal((8, 8))
         m = SymmetricMatrix(a + a.T)
-        out = evd(m)
-        rebuilt = out.vectors @ np.diag(out.eigenvalues) @ out.vectors.T
+        eigenvalues, vectors = _eigh_descending(m.values)
+        rebuilt = vectors @ np.diag(eigenvalues) @ vectors.T
         scale = np.linalg.norm(m.values, "fro")
         assert np.linalg.norm(rebuilt - m.values, "fro") <= 1e-10 * scale
-        assert np.linalg.norm(out.vectors.T @ out.vectors - np.eye(8), "fro") <= 1e-10
-        assert np.all(np.diff(out.eigenvalues) <= 0)
+        assert np.linalg.norm(vectors.T @ vectors - np.eye(8), "fro") <= 1e-10
+        assert np.all(np.diff(eigenvalues) <= 0)
 
     def test_symmetrized_on_construction(self, rng):
         a = rng.standard_normal((5, 5))
@@ -201,28 +200,6 @@ class TestGeodesic:
         d = riemann_distance(a, b)
         assert riemann_distance(a, mid) == pytest.approx(d / 2, rel=1e-8)
         assert riemann_distance(mid, b) == pytest.approx(d / 2, rel=1e-8)
-
-
-class TestArithmeticMean:
-    def test_identity_pair(self):
-        out = arithmetic_mean([SpdMatrix(np.eye(3)), SpdMatrix(np.eye(3))])
-        np.testing.assert_array_equal(out.values, np.eye(3))
-
-    def test_diagonal_pair(self):
-        out = arithmetic_mean(
-            [SpdMatrix(np.diag([1.0, 1.0])), SpdMatrix(np.diag([3.0, 1.0]))]
-        )
-        np.testing.assert_allclose(out.values, np.diag([2.0, 1.0]))
-
-    def test_matches_brute_force_sum(self, rng):
-        mats = [random_spd(rng, 5) for _ in range(10)]
-        out = arithmetic_mean(mats)
-        brute = sum(m.values for m in mats) / 10.0
-        np.testing.assert_allclose(out.values, brute, atol=1e-12)
-
-    def test_empty_set(self):
-        with pytest.raises(ContractError):
-            arithmetic_mean([])
 
 
 class TestGeometricMean:
