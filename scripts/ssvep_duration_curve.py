@@ -28,9 +28,7 @@ def curve(snr: float, seed: int) -> np.ndarray:
     )
     train = generate_ssvep(spec)
     test = generate_ssvep(replace(spec, seed=seed + 50_000))
-    recipe = build_recipe(
-        SSVEP, shrinkage=DEFAULT_ERP_SHRINKAGE, freqs=(12.0, 15.0, 20.0)
-    )
+    recipe = build_recipe(SSVEP, shrinkage=DEFAULT_ERP_SHRINKAGE, freqs=spec.freqs)
     accs = []
     for seconds in DURATIONS:
         model = mdm.fit([crop(e, seconds) for e in train], recipe)

@@ -22,12 +22,11 @@ from .errors import ContractError
 from .features import featurize
 from .mdm import DistanceVector, MdmModel
 from .preprocessing import Epoch
-from .spd import SpdMatrix, geodesic, geometric_mean, riemann_distance
+from .spd import SpdMatrix, geodesic, riemann_distance
+# Unused here, but perfbench/tracer.py wraps the adaptive.geometric_mean binding.
+from .spd import geometric_mean  # noqa: F401
 
 DEFAULT_RAMP = 40
-
-INCREMENTAL = "incremental"
-BATCH = "batch"
 
 
 def _normalized(values: np.ndarray) -> np.ndarray:
@@ -42,25 +41,20 @@ class FusedClassifier:
     """Generic + individual MDM pair with the linear weighting schedule.
 
     Mutated only by :meth:`absorb` (single-writer contract); reads must be
-    serialized with writes or taken on a snapshot.  The ``batch`` update
-    mode refits the individual means exactly from all absorbed features;
-    the default ``incremental`` mode folds each feature into the running
-    mean with one geodesic step, trading exactness for bounded memory.
+    serialized with writes or taken on a snapshot.  Each absorbed feature
+    is folded into its class's running mean with one geodesic step, so
+    memory stays bounded however long the session runs.
     """
 
     generic: MdmModel
     ramp: int = DEFAULT_RAMP
-    update: str = INCREMENTAL
     n_rep: float = 0.0
     individual_means: dict[int, SpdMatrix] = field(default_factory=dict)
     individual_counts: dict[int, int] = field(default_factory=dict)
-    individual_features: dict[int, list[SpdMatrix]] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.ramp < 1:
             raise ContractError(f"ramp must be >= 1, got {self.ramp}")
-        if self.update not in (INCREMENTAL, BATCH):
-            raise ContractError(f"unknown update mode {self.update!r}")
 
     @property
     def alpha(self) -> float:
@@ -117,9 +111,10 @@ class FusedClassifier:
 
         The first epoch of a class becomes that class's mean; afterwards
         the mean moves along the geodesic toward the new feature matrix by
-        1/(count+1), the streaming analogue of the batch mean.  ``n_rep``
-        advances by ``rep_increment`` so the caller controls what counts
-        as one repetition (e.g. 1/n_items per item epoch in a P300 round).
+        1/(count+1), the streaming analogue of the geometric mean of all
+        the class's features.  ``n_rep`` advances by ``rep_increment`` so
+        the caller controls what counts as one repetition (e.g. 1/n_items
+        per item epoch in a P300 round).
         """
         if true_label not in self.generic.class_ids:
             raise ContractError(
@@ -127,30 +122,19 @@ class FusedClassifier:
             )
         feat = featurize(e, self.generic.recipe)
         count = self.individual_counts.get(true_label, 0)
-        if self.update == BATCH:
-            feats = self.individual_features.setdefault(true_label, [])
-            feats.append(feat)
-            self.individual_means[true_label] = (
-                feats[0] if len(feats) == 1 else geometric_mean(feats)
-            )
+        if count == 0:
+            self.individual_means[true_label] = feat
         else:
-            if count == 0:
-                self.individual_means[true_label] = feat
-            else:
-                self.individual_means[true_label] = geodesic(
-                    self.individual_means[true_label], feat, 1.0 / (count + 1)
-                )
+            self.individual_means[true_label] = geodesic(
+                self.individual_means[true_label], feat, 1.0 / (count + 1)
+            )
         self.individual_counts[true_label] = count + 1
         self.n_rep += rep_increment
         return self
 
     @classmethod
     def seeded(
-        cls,
-        generic: MdmModel,
-        prior: MdmModel,
-        prior_counts: tuple[int, ...] | None = None,
-        ramp: int = DEFAULT_RAMP,
+        cls, generic: MdmModel, prior: MdmModel, ramp: int = DEFAULT_RAMP
     ) -> "FusedClassifier":
         """Start a session with an individual model from earlier sessions.
 
@@ -160,10 +144,9 @@ class FusedClassifier:
         """
         if prior.class_ids != generic.class_ids:
             raise ContractError("prior model must share the generic model's classes")
-        counts = prior.counts if prior_counts is None else prior_counts
         fused = cls(generic=generic, ramp=ramp)
-        for z, mean, count in zip(prior.class_ids, prior.means, counts):
+        for z, mean, count in zip(prior.class_ids, prior.means, prior.counts):
             fused.individual_means[z] = mean
             fused.individual_counts[z] = count
-        fused.n_rep = float(min(ramp, min(counts)))
+        fused.n_rep = float(min(ramp, min(prior.counts)))
         return fused

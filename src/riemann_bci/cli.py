@@ -14,12 +14,12 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import replace
 import numpy as np
 
 from . import mdm as mdm_mod
-from .adaptive import FusedClassifier
+from .adaptive import DEFAULT_RAMP, FusedClassifier
 from .datasets import (
-    DEFAULT_P300_SNR,
     SyntheticSpec,
     default_mi_covariances,
     generate_mi,
@@ -34,6 +34,7 @@ from .errors import ContractError, NumericError
 from .features import MI, P300, SSVEP, build_recipe
 from .mdm import MeanConfig
 from .preprocessing import BandSpec, bandpass, decimate, demean
+from .preprocessing import DEFAULT_BAND_ORDER, SSVEP_BAND_ORDER, SSVEP_BAND_WIDTH_HZ
 from .simulator import (
     ADAPTIVE,
     NON_ADAPTIVE,
@@ -46,6 +47,7 @@ from .simulator import (
     synthetic_training_run,
     write_session_csv,
 )
+from .spd import DEFAULT_MEAN_MAX_ITER
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -63,16 +65,29 @@ def _parse_shrinkage(text: str):
 
 
 def _preprocess(epochs, args):
-    if getattr(args, "band", None):
+    if args.band:
         spec = BandSpec(args.band[0], args.band[1], order=args.band_order)
         epochs = [bandpass(e, spec) for e in epochs]
-    if getattr(args, "decimate_to", None):
+    if args.decimate_to:
         epochs = [decimate(e, args.decimate_to) for e in epochs]
     return [demean(e) for e in epochs]
 
 
+def _fit(args, training):
+    cfg = MeanConfig(tol=args.mean_tol, max_iter=args.mean_max_iter)
+    recipe = build_recipe(
+        args.modality,
+        training=training,
+        shrinkage=_parse_shrinkage(args.shrinkage),
+        freqs=tuple(args.freqs) if args.freqs else (),
+        width_hz=args.width,
+        order=args.order,
+    )
+    return mdm_mod.fit(training, recipe, cfg)
+
+
 def _synth_spec(args) -> SyntheticSpec:
-    keys = dict(
+    spec = SyntheticSpec(
         n_channels=args.channels,
         n_samples=args.samples,
         fs=args.fs,
@@ -81,10 +96,11 @@ def _synth_spec(args) -> SyntheticSpec:
         snr=args.snr,
     )
     if args.modality == MI:
-        keys["class_covs"] = default_mi_covariances(args.channels, args.classes)
+        covs = default_mi_covariances(spec.n_channels, args.classes)
+        return replace(spec, class_covs=covs)
     if args.modality == SSVEP:
-        keys["freqs"] = tuple(args.freqs)
-    return SyntheticSpec(**keys)
+        return replace(spec, freqs=tuple(args.freqs))
+    return spec
 
 
 def cmd_synth(args) -> int:
@@ -105,17 +121,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    epochs = _preprocess(read_epochs(args.input), args)
-    recipe = build_recipe(
-        args.modality,
-        training=epochs,
-        shrinkage=_parse_shrinkage(args.shrinkage),
-        freqs=tuple(args.freqs) if args.freqs else (),
-        width_hz=args.width,
-        order=args.order,
-    )
-    cfg = MeanConfig(tol=args.mean_tol, max_iter=args.mean_max_iter)
-    model = mdm_mod.fit(epochs, recipe, cfg)
+    model = _fit(args, _preprocess(read_epochs(args.input), args))
     save_model(args.out, model)
     counts = ", ".join(
         f"class {z}: {c}" for z, c in zip(model.class_ids, model.counts)
@@ -174,24 +180,13 @@ def cmd_crossval(args) -> int:
     rng = np.random.default_rng(args.seed)
     order = rng.permutation(len(labeled))
     folds = np.array_split(order, args.k)
-    shrinkage = _parse_shrinkage(args.shrinkage)
-    cfg = MeanConfig(tol=args.mean_tol, max_iter=args.mean_max_iter)
     rows = []
     accuracies = []
     for fold_id, fold in enumerate(folds):
         test_idx = set(int(i) for i in fold)
         train = [e for i, e in enumerate(labeled) if i not in test_idx]
         test = [labeled[i] for i in sorted(test_idx)]
-        recipe = build_recipe(
-            args.modality,
-            training=train,
-            shrinkage=shrinkage,
-            freqs=tuple(args.freqs) if args.freqs else (),
-            width_hz=args.width,
-            order=args.order,
-        )
-        model = mdm_mod.fit(train, recipe, cfg)
-        predictions, _ = _scores_and_predictions(model, test)
+        predictions, _ = _scores_and_predictions(_fit(args, train), test)
         accuracy = float(np.mean([p == e.label for p, e in zip(predictions, test)]))
         accuracies.append(accuracy)
         rows.append((fold_id, len(test), accuracy))
@@ -264,31 +259,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    spec = SyntheticSpec()
     synth = sub.add_parser("synth", help="write a synthetic epoch file")
     synth.add_argument("--modality", choices=(MI, P300, SSVEP), required=True)
     synth.add_argument("--out", required=True)
-    synth.add_argument("--trials", type=int, default=50, help="trials per class")
+    synth.add_argument(
+        "--trials", type=int, default=spec.trials_per_class, help="trials per class"
+    )
     synth.add_argument("--classes", type=int, default=2, help="MI class count")
-    synth.add_argument("--channels", type=int, default=8)
-    synth.add_argument("--samples", type=int, default=128)
-    synth.add_argument("--fs", type=float, default=128.0)
-    synth.add_argument("--snr", type=float, default=DEFAULT_P300_SNR)
-    synth.add_argument("--freqs", type=float, nargs="+", default=[12.0, 15.0, 20.0])
-    synth.add_argument("--seed", type=int, default=0)
+    synth.add_argument("--channels", type=int, default=spec.n_channels)
+    synth.add_argument("--samples", type=int, default=spec.n_samples)
+    synth.add_argument("--fs", type=float, default=spec.fs)
+    synth.add_argument("--snr", type=float, default=spec.snr)
+    synth.add_argument("--freqs", type=float, nargs="+", default=list(spec.freqs))
+    synth.add_argument("--seed", type=int, default=spec.seed)
     synth.set_defaults(func=cmd_synth)
 
-    def add_pipeline_flags(p, with_modality=True):
-        if with_modality:
-            p.add_argument("--modality", choices=(MI, P300, SSVEP), required=True)
+    def add_preprocessing_flags(p):
         p.add_argument("--band", type=float, nargs=2, metavar=("LOW", "HIGH"))
-        p.add_argument("--band-order", type=int, default=4)
+        p.add_argument("--band-order", type=int, default=DEFAULT_BAND_ORDER)
         p.add_argument("--decimate-to", type=float)
+
+    def add_pipeline_flags(p):
+        p.add_argument("--modality", choices=(MI, P300, SSVEP), required=True)
+        add_preprocessing_flags(p)
         p.add_argument("--shrinkage", default="auto")
         p.add_argument("--freqs", type=float, nargs="+")
-        p.add_argument("--width", type=float, default=2.0)
-        p.add_argument("--order", type=int, default=5)
+        p.add_argument("--width", type=float, default=SSVEP_BAND_WIDTH_HZ)
+        p.add_argument("--order", type=int, default=SSVEP_BAND_ORDER)
         p.add_argument("--mean-tol", type=float, default=None)
-        p.add_argument("--mean-max-iter", type=int, default=1500)
+        p.add_argument("--mean-max-iter", type=int, default=DEFAULT_MEAN_MAX_ITER)
 
     fit = sub.add_parser("fit", help="train an MDM model from an epoch file")
     fit.add_argument("--in", dest="input", required=True)
@@ -300,9 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     evl.add_argument("--model", required=True)
     evl.add_argument("--in", dest="input", required=True)
     evl.add_argument("--report", required=True)
-    evl.add_argument("--band", type=float, nargs=2, metavar=("LOW", "HIGH"))
-    evl.add_argument("--band-order", type=int, default=4)
-    evl.add_argument("--decimate-to", type=float)
+    add_preprocessing_flags(evl)
     evl.set_defaults(func=cmd_eval)
 
     cv = sub.add_parser("crossval", help="k-fold cross-validation report")
@@ -313,18 +311,19 @@ def build_parser() -> argparse.ArgumentParser:
     add_pipeline_flags(cv)
     cv.set_defaults(func=cmd_crossval)
 
+    config = SyntheticSessionConfig()
     sim = sub.add_parser("simulate", help="replay synthetic selection sessions")
     sim.add_argument("--out", required=True)
     sim.add_argument("--mode", choices=(ADAPTIVE, NON_ADAPTIVE, "both"), default="both")
     sim.add_argument("--sessions", type=int, default=1)
-    sim.add_argument("--levels", type=int, default=12)
-    sim.add_argument("--items", type=int, default=12)
-    sim.add_argument("--cap", type=int, default=8)
-    sim.add_argument("--ramp", type=int, default=40)
-    sim.add_argument("--channels", type=int, default=6)
-    sim.add_argument("--samples", type=int, default=96)
-    sim.add_argument("--fs", type=float, default=96.0)
-    sim.add_argument("--snr", type=float, default=0.85)
+    sim.add_argument("--levels", type=int, default=config.n_levels)
+    sim.add_argument("--items", type=int, default=config.n_items)
+    sim.add_argument("--cap", type=int, default=config.max_repetitions)
+    sim.add_argument("--ramp", type=int, default=DEFAULT_RAMP)
+    sim.add_argument("--channels", type=int, default=config.subject.n_channels)
+    sim.add_argument("--samples", type=int, default=config.subject.n_samples)
+    sim.add_argument("--fs", type=float, default=config.subject.fs)
+    sim.add_argument("--snr", type=float, default=config.subject.snr)
     sim.add_argument("--seed", type=int, default=0)
     sim.set_defaults(func=cmd_simulate)
 

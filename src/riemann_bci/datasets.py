@@ -245,15 +245,13 @@ def load_model(path):
 
 def save_fused(path, fused) -> None:
     """Persist a fused classifier: generic model, individual means/counts,
-    repetition credit and ramp.  Batch-mode feature history is not
-    persisted; a reloaded batch-mode classifier refits from new data only."""
+    repetition credit and ramp."""
     doc = {
         "format": "fused-classifier",
         "version": FILE_VERSION,
         "generic": model_to_doc(fused.generic),
         "n_rep": fused.n_rep,
         "ramp": fused.ramp,
-        "update": fused.update,
         "individual_means": {
             str(z): m.values.tolist() for z, m in fused.individual_means.items()
         },
@@ -274,7 +272,6 @@ def load_fused(path):
     fused = FusedClassifier(
         generic=_field(doc, "generic", where, model_from_doc),
         ramp=_field(doc, "ramp", where, int),
-        update=_field(doc, "update", where),
     )
     fused.n_rep = _field(doc, "n_rep", where, float)
     fused.individual_means.update(
@@ -318,13 +315,20 @@ class SyntheticSpec:
     gain_center: float = 0.60
     ar_coeff: float = 0.95
     freqs: tuple[float, ...] = (12.0, 15.0, 20.0)
-    include_rest: bool = True
 
     def __post_init__(self):
+        if self.n_channels < 1:
+            raise ContractError(f"n_channels must be >= 1, got {self.n_channels}")
+        if self.n_samples < 2:
+            raise ContractError(f"n_samples must be >= 2, got {self.n_samples}")
+        if not self.fs > 0:
+            raise ContractError(f"fs must be positive, got {self.fs}")
         if self.snr < 0:
             raise ContractError(f"snr must be >= 0, got {self.snr}")
         if self.trials_per_class < 1:
             raise ContractError("trials_per_class must be >= 1")
+        if any(not f > 0 for f in self.freqs):
+            raise ContractError(f"freqs must be positive, got {self.freqs}")
 
 
 def default_mi_covariances(n_channels: int, n_classes: int) -> tuple[np.ndarray, ...]:
@@ -447,8 +451,8 @@ def ssvep_gains(n_channels: int, n_freqs: int) -> np.ndarray:
 
 
 def generate_ssvep(spec: SyntheticSpec) -> list[Epoch]:
-    """Labeled SSVEP epochs: label 0 is rest (noise only) when included,
-    then one class per flicker frequency with a half-amplitude harmonic."""
+    """Labeled SSVEP epochs: label 0 is rest (noise only), then one class
+    per flicker frequency with a half-amplitude harmonic."""
     for f in spec.freqs:
         if 2.0 * f >= spec.fs / 2.0:
             raise ContractError(
@@ -459,10 +463,7 @@ def generate_ssvep(spec: SyntheticSpec) -> list[Epoch]:
     rng = np.random.default_rng(spec.seed)
     time = np.arange(spec.n_samples) / spec.fs
     epochs = []
-    labels = ([0] if spec.include_rest else []) + [
-        i + 1 for i in range(len(spec.freqs))
-    ]
-    for label in labels:
+    for label in range(len(spec.freqs) + 1):
         for _ in range(spec.trials_per_class):
             noise = mixing @ rng.standard_normal((spec.n_channels, spec.n_samples))
             if label == 0:

@@ -251,7 +251,6 @@ def build_recipe(
     freqs: tuple[float, ...] = (),
     width_hz: float = SSVEP_BAND_WIDTH_HZ,
     order: int = SSVEP_BAND_ORDER,
-    n_subjects: int = 1,
 ) -> FeatureRecipe:
     """Assemble a recipe, deriving prototypes from labeled epochs as needed.
 
@@ -278,7 +277,6 @@ def build_recipe(
         width_hz=width_hz,
         order=order,
         shrinkage=shrinkage,
-        n_subjects=n_subjects,
     )
 
 

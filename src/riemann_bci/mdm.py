@@ -17,7 +17,7 @@ from scipy.stats import rankdata
 from .errors import ContractError, MeanConvergenceError
 from .features import FeatureRecipe, featurize
 from .preprocessing import Epoch
-from .spd import SpdMatrix, geometric_mean, riemann_distance
+from .spd import DEFAULT_MEAN_MAX_ITER, SpdMatrix, geometric_mean, riemann_distance
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,13 @@ class MeanConfig:
     """Geometric-mean solver settings; tol=None means 1e-8 * dim."""
 
     tol: float | None = None
-    max_iter: int = 1500
+    max_iter: int = DEFAULT_MEAN_MAX_ITER
+
+    def __post_init__(self):
+        if self.tol is not None and not (np.isfinite(self.tol) and self.tol > 0):
+            raise ContractError(f"mean tol must be finite and positive, got {self.tol}")
+        if self.max_iter < 1:
+            raise ContractError(f"mean max_iter must be >= 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True, eq=False)

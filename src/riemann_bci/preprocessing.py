@@ -77,7 +77,6 @@ class BandSpec:
     low_hz: float
     high_hz: float
     order: int = DEFAULT_BAND_ORDER
-    zero_phase: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.low_hz < self.high_hz:
@@ -94,11 +93,10 @@ def demean(e: Epoch) -> Epoch:
 
 
 def bandpass(e: Epoch, spec: BandSpec) -> Epoch:
-    """Butterworth IIR band-pass, applied per channel, then demeaned.
+    """Zero-phase Butterworth IIR band-pass, applied per channel, then demeaned.
 
-    Zero-phase mode runs the filter forward and backward (squared magnitude
-    response, no group delay) with reflected edge padding of about three
-    filter orders; causal mode is a single forward pass for online realism.
+    The filter runs forward and backward (squared magnitude response, no
+    group delay) with reflected edge padding of about three filter orders.
     """
     if spec.high_hz >= e.fs / 2.0:
         raise ContractError(
@@ -111,11 +109,8 @@ def bandpass(e: Epoch, spec: BandSpec) -> Epoch:
         fs=e.fs,
         output="sos",
     )
-    if spec.zero_phase:
-        padlen = min(3 * (spec.order + 1), e.n_samples - 1)
-        out = signal.sosfiltfilt(sos, e.data, axis=1, padtype="odd", padlen=padlen)
-    else:
-        out = signal.sosfilt(sos, e.data, axis=1)
+    padlen = min(3 * (spec.order + 1), e.n_samples - 1)
+    out = signal.sosfiltfilt(sos, e.data, axis=1, padtype="odd", padlen=padlen)
     return demean(e.with_data(out))
 
 
@@ -143,13 +138,9 @@ def ssvep_filter_bank(
     freqs: list[float],
     width_hz: float = SSVEP_BAND_WIDTH_HZ,
     order: int = SSVEP_BAND_ORDER,
-    zero_phase: bool = True,
 ) -> list[Epoch]:
     """One band-passed copy per flicker frequency, centered at each freq."""
     return [
-        bandpass(
-            e,
-            BandSpec(f - width_hz / 2.0, f + width_hz / 2.0, order, zero_phase),
-        )
+        bandpass(e, BandSpec(f - width_hz / 2.0, f + width_hz / 2.0, order))
         for f in freqs
     ]

@@ -22,17 +22,11 @@ from typing import Callable
 import numpy as np
 
 from . import mdm as mdm_mod
-from .adaptive import FusedClassifier
+from .adaptive import DEFAULT_RAMP, FusedClassifier
 from .datasets import SyntheticSpec, generate_p300, p300_trial, _mixing
 from .errors import ContractError
 from .features import DEFAULT_ERP_SHRINKAGE, P300, build_recipe
-from .mdm import (
-    MdmModel,
-    MeanConfig,
-    distances,
-    most_target_like,
-    target_contrast,
-)
+from .mdm import MdmModel, distances, most_target_like, target_contrast
 from .preprocessing import Epoch, demean
 
 ADAPTIVE = "adaptive"
@@ -171,8 +165,7 @@ def compare_modes(
     generic: MdmModel,
     training: list[Epoch],
     shrinkage: float | str = DEFAULT_ERP_SHRINKAGE,
-    ramp: int = 40,
-    mean_cfg: MeanConfig = MeanConfig(),
+    ramp: int = DEFAULT_RAMP,
 ) -> ModeComparison:
     """Paired run of both modes over identical level specs.
 
@@ -182,7 +175,7 @@ def compare_modes(
     from the generic model with no individual data at all.
     """
     recipe = build_recipe(P300, training=training, shrinkage=shrinkage)
-    trained = mdm_mod.fit(training, recipe, mean_cfg)
+    trained = mdm_mod.fit(training, recipe)
     adaptive_clf = FusedClassifier(generic=generic, ramp=ramp)
     adaptive_results, adaptive_summary = run_session(levels, adaptive_clf, ADAPTIVE)
     non_adaptive_results, non_adaptive_summary = run_session(
@@ -256,8 +249,12 @@ class SyntheticSessionConfig:
     generic_snr_scale: float = 0.4
     generic_trials: int = 6
     training_trials: int = 40
-    ramp: int = 40
+    ramp: int = DEFAULT_RAMP
     shrinkage: float = DEFAULT_ERP_SHRINKAGE
+
+    def __post_init__(self):
+        if self.n_levels < 1:
+            raise ContractError(f"n_levels must be >= 1, got {self.n_levels}")
 
 
 def generic_spec(config: SyntheticSessionConfig) -> SyntheticSpec:

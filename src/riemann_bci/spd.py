@@ -194,18 +194,17 @@ def geodesic(c1: SpdMatrix, c2: SpdMatrix, t: float) -> SpdMatrix:
 
 def geometric_mean(
     mats: Sequence[SpdMatrix],
-    weights: Sequence[float] | None = None,
     tol: float | None = None,
     max_iter: int = DEFAULT_MEAN_MAX_ITER,
 ) -> SpdMatrix:
-    """Weighted geometric (Karcher) mean by fixed-point iteration.
+    """Geometric (Karcher) mean by fixed-point iteration.
 
-    Iterates M <- M^1/2 exp(s * sum_k w_k ln(M^-1/2 C_k M^-1/2)) M^1/2,
+    Iterates M <- M^1/2 exp(s * mean_k ln(M^-1/2 C_k M^-1/2)) M^1/2,
     starting from the arithmetic mean, until the Frobenius norm of the
-    weighted log-map sum falls below ``tol`` (default 1e-8 * dim).
+    mean log map falls below ``tol`` (default 1e-8 * dim).
 
-    The step s is capped at 2 / (1 + H), where H = sum_k w_k d_k coth(d_k)
-    bounds the Hessian of the weighted squared-distance cost along the
+    The step s is capped at 2 / (1 + H), where H = mean_k d_k coth(d_k)
+    bounds the Hessian of the mean squared-distance cost along the
     iterate's log maps (d_k their norms).  For tight sets H is 1 and the
     plain unit-step update is recovered; for widely spread sets unit steps
     are only marginally stable and crawl, while the capped step contracts
@@ -219,22 +218,13 @@ def geometric_mean(
     if k == 0:
         raise ContractError("geometric mean of an empty set")
     dim = _check_equal_dims(mats)
-    if weights is None:
-        wts = np.full(k, 1.0 / k)
-    else:
-        wts = np.asarray(weights, dtype=np.float64)
-        if wts.shape != (k,):
-            raise ContractError(f"expected {k} weights, got shape {wts.shape}")
-        if np.any(wts < 0.0):
-            raise ContractError("weights must be nonnegative")
-        if abs(wts.sum() - 1.0) > 1e-9:
-            raise ContractError(f"weights must sum to 1, got {wts.sum()!r}")
     if tol is None:
         tol = DEFAULT_MEAN_TOL_PER_DIM * dim
     if k == 1:
         return mats[0]
 
     values = [m.values for m in mats]
+    wt = 1.0 / k
     current = np.mean(values, axis=0)
     damping = 1.0
     prev_residual = np.inf
@@ -252,9 +242,7 @@ def geometric_mean(
         sq = _rebuild(u, sqrt_w)
         log_sum = np.zeros_like(current)
         hessian_bound = 0.0
-        for value, wt in zip(values, wts):
-            if wt == 0.0:
-                continue
+        for value in values:
             ww, uu = _eigh_descending(_symmetrize(isq @ value @ isq))
             if ww[-1] <= 0.0:
                 raise NumericError("whitened matrix lost positive definiteness")
@@ -284,12 +272,8 @@ def geometric_mean(
     raise MeanConvergenceError(residual=best_residual, iterations=max_iter)
 
 
-def karcher_residual(
-    mean: SpdMatrix,
-    mats: Sequence[SpdMatrix],
-    weights: Sequence[float] | None = None,
-) -> float:
-    """Frobenius norm of the weighted log-map sum at ``mean``.
+def karcher_residual(mean: SpdMatrix, mats: Sequence[SpdMatrix]) -> float:
+    """Frobenius norm of the mean log map at ``mean``.
 
     Zero exactly at the geometric mean; the convergence criterion of
     ``geometric_mean`` bounds this quantity by its tolerance.
@@ -297,10 +281,10 @@ def karcher_residual(
     k = len(mats)
     if k == 0:
         raise ContractError("residual over an empty set")
-    wts = np.full(k, 1.0 / k) if weights is None else np.asarray(weights, float)
+    wt = 1.0 / k
     isq = mean._inv_sqrt_array()
     log_sum = np.zeros((mean.dim, mean.dim))
-    for m, wt in zip(mats, wts):
+    for m in mats:
         ww, uu = _eigh_descending(_symmetrize(isq @ m.values @ isq))
         log_sum += wt * _rebuild(uu, np.log(ww))
     return float(np.linalg.norm(_symmetrize(log_sum), "fro"))

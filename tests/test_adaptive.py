@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -148,17 +150,6 @@ class TestAbsorb:
             spread = max(riemann_distance(m, batch) for m in mats)
             assert riemann_distance(incremental, batch) <= 0.05 * spread
 
-    def test_batch_mode_matches_refit(self, rng):
-        fc = FusedClassifier(generic=generic_model(rng), update="batch")
-        epochs = [epoch(rng) for _ in range(6)]
-        for e in epochs:
-            fc.absorb(e, 0)
-        feats = [featurize(e, MI_RECIPE) for e in epochs]
-        expected = geometric_mean(feats)
-        assert (
-            riemann_distance(fc.individual_means[0], expected) <= 1e-9
-        )
-
     def test_rep_increment_granularity(self, rng):
         fc = FusedClassifier(generic=generic_model(rng))
         for _ in range(12):
@@ -221,4 +212,12 @@ class TestFusedSerialization:
         e = epoch(rng)
         np.testing.assert_allclose(
             back.fused_distances(e).values, fc.fused_distances(e).values, rtol=1e-12
+        )
+        doc = json.loads(path.read_text())
+        assert "update" not in doc
+        # documents written with the former update-mode key still load
+        legacy = tmp_path / "legacy.json"
+        legacy.write_text(json.dumps({**doc, "update": "incremental"}))
+        np.testing.assert_array_equal(
+            load_fused(legacy).fused_distances(e).values, back.fused_distances(e).values
         )

@@ -278,15 +278,25 @@ def _report_in_missing_dir(tmp_path, model, data):
     return _eval(tmp_path, model, data, report), str(report)
 
 
+def _zero_mean_iterations(tmp_path, model, data):
+    return _fit(tmp_path, data) + ["--mean-max-iter", "0"], "max_iter must"
+
+
+def _negative_mean_tol(tmp_path, model, data):
+    return _fit(tmp_path, data) + ["--mean-tol", "-1"], "tol must"
+
+
 @pytest.mark.parametrize(
     "case",
     [_missing_freqs, _non_utf8_model, _string_class_ids, _missing_model,
-     _missing_input, _number_header, _report_in_missing_dir],
+     _missing_input, _number_header, _report_in_missing_dir,
+     _zero_mean_iterations, _negative_mean_tol],
     ids=lambda case: case.__name__.lstrip("_"),
 )
 def test_bad_input_is_data_error(tmp_path, capsys, case):
-    """Malformed documents and unusable paths exit 3 with an error line
-    naming the field or path, never with a traceback."""
+    """Malformed documents, unusable paths and degenerate solver settings
+    exit 3 with an error line naming the field or path, never with a
+    traceback or a failed fit."""
     data = tmp_path / "mi.dat"
     model = tmp_path / "model.json"
     assert run(["synth", "--modality", "mi", "--trials", "4", "--samples", "64",
@@ -298,3 +308,20 @@ def test_bad_input_is_data_error(tmp_path, capsys, case):
     assert run(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err, err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["synth", "--modality", "ssvep", "--freqs", "0"], "freqs"),
+        (["synth", "--modality", "mi", "--channels", "0"], "n_channels"),
+        (["synth", "--modality", "p300", "--fs", "0"], "fs"),
+        (["simulate", "--levels", "0"], "n_levels"),
+    ],
+)
+def test_bad_synthetic_geometry_is_data_error(tmp_path, capsys, argv, field):
+    """Degenerate geometry exits 3 naming the field, before any data is made."""
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{field} must" in err, err

@@ -224,17 +224,6 @@ class TestGeometricMean:
         out = geometric_mean(mats)
         assert karcher_residual(out, mats) < 1e-8 * 6
 
-    def test_weighted_mean_degenerate_weight(self, rng):
-        mats = [random_spd(rng, 4) for _ in range(3)]
-        out = geometric_mean(mats, weights=[1.0, 0.0, 0.0])
-        assert riemann_distance(out, mats[0]) <= 1e-7
-
-    def test_weighted_karcher_condition(self, rng):
-        mats = [random_spd(rng, 5) for _ in range(4)]
-        wts = [0.4, 0.3, 0.2, 0.1]
-        out = geometric_mean(mats, weights=wts)
-        assert karcher_residual(out, mats, weights=wts) < 1e-8 * 5
-
     def test_congruence_equivariance(self, rng):
         mats = [random_spd(rng, 4) for _ in range(5)]
         w = random_invertible(rng, 4, cond=100.0)
@@ -254,13 +243,6 @@ class TestGeometricMean:
         with pytest.raises(MeanConvergenceError) as err:
             geometric_mean(mats, tol=1e-300, max_iter=3)
         assert err.value.residual > 0.0
-
-    def test_bad_weights(self, rng):
-        mats = [random_spd(rng, 3) for _ in range(2)]
-        with pytest.raises(ContractError):
-            geometric_mean(mats, weights=[0.7, 0.7])
-        with pytest.raises(ContractError):
-            geometric_mean(mats, weights=[1.5, -0.5])
 
     def test_empty_set(self):
         with pytest.raises(ContractError):
