@@ -68,7 +68,7 @@ def _preprocess(epochs, args):
     if args.band:
         spec = BandSpec(args.band[0], args.band[1], order=args.band_order)
         epochs = [bandpass(e, spec) for e in epochs]
-    if args.decimate_to:
+    if args.decimate_to is not None:
         epochs = [decimate(e, args.decimate_to) for e in epochs]
     return [demean(e) for e in epochs]
 
@@ -203,6 +203,8 @@ def cmd_crossval(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.sessions < 1:
+        raise ContractError(f"sessions must be >= 1, got {args.sessions}")
     subject = SyntheticSpec(
         n_channels=args.channels,
         n_samples=args.samples,

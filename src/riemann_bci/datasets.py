@@ -23,10 +23,12 @@ channel gain profiles.  All generators are pure functions of (spec, seed).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy import signal
 
 from .errors import ContractError, FileFormatError
 from .features import FeatureRecipe, Prototype
@@ -321,10 +323,10 @@ class SyntheticSpec:
             raise ContractError(f"n_channels must be >= 1, got {self.n_channels}")
         if self.n_samples < 2:
             raise ContractError(f"n_samples must be >= 2, got {self.n_samples}")
-        if not self.fs > 0:
-            raise ContractError(f"fs must be positive, got {self.fs}")
-        if self.snr < 0:
-            raise ContractError(f"snr must be >= 0, got {self.snr}")
+        if not (math.isfinite(self.fs) and self.fs > 0):
+            raise ContractError(f"fs must be positive and finite, got {self.fs}")
+        if not (math.isfinite(self.snr) and self.snr >= 0):
+            raise ContractError(f"snr must be finite and >= 0, got {self.snr}")
         if self.trials_per_class < 1:
             raise ContractError("trials_per_class must be >= 1")
         if any(not f > 0 for f in self.freqs):
@@ -393,11 +395,9 @@ def _mixing(n: int) -> np.ndarray:
 
 def _colored_noise(rng, n: int, t: int, ar: float, mixing: np.ndarray) -> np.ndarray:
     """AR(1)-filtered Gaussian sources mixed across channels, unit variance."""
-    innovations = rng.standard_normal((n, t)) * np.sqrt(1.0 - ar**2)
-    sources = np.empty((n, t))
-    sources[:, 0] = rng.standard_normal(n)
-    for i in range(1, t):
-        sources[:, i] = ar * sources[:, i - 1] + innovations[:, i]
+    drive = rng.standard_normal((n, t)) * np.sqrt(1.0 - ar**2)
+    drive[:, 0] = rng.standard_normal(n)  # stationary start, drawn after the drive
+    sources = signal.lfilter([1.0], [1.0, -ar], drive, axis=1)
     return mixing @ sources
 
 

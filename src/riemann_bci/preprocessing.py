@@ -6,7 +6,9 @@ operations return new epochs and are safe for data-parallel mapping.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import signal
@@ -40,8 +42,10 @@ class Epoch:
             )
         if not np.all(np.isfinite(a)):
             raise ContractError("epoch data must be finite")
-        if self.fs <= 0:
-            raise ContractError(f"sampling rate must be positive, got {self.fs}")
+        if not (math.isfinite(self.fs) and self.fs > 0):
+            raise ContractError(
+                f"sampling rate must be positive and finite, got {self.fs}"
+            )
         names = tuple(self.channels) if self.channels else tuple(
             f"ch{i + 1}" for i in range(n)
         )
@@ -92,23 +96,27 @@ def demean(e: Epoch) -> Epoch:
     return e.with_data(e.data - e.data.mean(axis=1, keepdims=True))
 
 
+@lru_cache
+def _butter_sos(order: int, low_hz: float, high_hz: float, fs: float) -> np.ndarray:
+    """Read-only second-order sections of one Butterworth band-pass design."""
+    sos = signal.butter(order, [low_hz, high_hz], btype="bandpass", fs=fs, output="sos")
+    sos.flags.writeable = False
+    return sos
+
+
 def bandpass(e: Epoch, spec: BandSpec) -> Epoch:
     """Zero-phase Butterworth IIR band-pass, applied per channel, then demeaned.
 
     The filter runs forward and backward (squared magnitude response, no
     group delay) with reflected edge padding of about three filter orders.
+    The design is made once per (order, band, fs) and cached.
     """
     if spec.high_hz >= e.fs / 2.0:
         raise ContractError(
             f"band edge {spec.high_hz} Hz must lie below Nyquist ({e.fs / 2.0} Hz)"
         )
-    sos = signal.butter(
-        spec.order,
-        [spec.low_hz, spec.high_hz],
-        btype="bandpass",
-        fs=e.fs,
-        output="sos",
-    )
+    # scipy's sosfilt refuses a read-only array, so each call filters with a copy.
+    sos = _butter_sos(spec.order, spec.low_hz, spec.high_hz, e.fs).copy()
     padlen = min(3 * (spec.order + 1), e.n_samples - 1)
     out = signal.sosfiltfilt(sos, e.data, axis=1, padtype="odd", padlen=padlen)
     return demean(e.with_data(out))

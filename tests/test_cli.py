@@ -273,6 +273,15 @@ def _number_header(tmp_path, model, data):
     return _fit(tmp_path, bad), "header"
 
 
+def _infinite_fs_header(tmp_path, model, data):
+    header, payload = data.read_bytes().split(b"\n", 1)
+    doc = json.loads(header)
+    doc["fs_hz"] = float("inf")
+    bad = tmp_path / "bad.dat"
+    bad.write_bytes(json.dumps(doc).encode() + b"\n" + payload)
+    return _fit(tmp_path, bad), "sampling rate must"
+
+
 def _report_in_missing_dir(tmp_path, model, data):
     report = tmp_path / "no_such_dir" / "r.csv"
     return _eval(tmp_path, model, data, report), str(report)
@@ -286,17 +295,21 @@ def _negative_mean_tol(tmp_path, model, data):
     return _fit(tmp_path, data) + ["--mean-tol", "-1"], "tol must"
 
 
+def _zero_decimation_rate(tmp_path, model, data):
+    return _fit(tmp_path, data) + ["--decimate-to", "0"], "target rate must"
+
+
 @pytest.mark.parametrize(
     "case",
     [_missing_freqs, _non_utf8_model, _string_class_ids, _missing_model,
-     _missing_input, _number_header, _report_in_missing_dir,
-     _zero_mean_iterations, _negative_mean_tol],
+     _missing_input, _number_header, _infinite_fs_header, _report_in_missing_dir,
+     _zero_mean_iterations, _negative_mean_tol, _zero_decimation_rate],
     ids=lambda case: case.__name__.lstrip("_"),
 )
 def test_bad_input_is_data_error(tmp_path, capsys, case):
-    """Malformed documents, unusable paths and degenerate solver settings
-    exit 3 with an error line naming the field or path, never with a
-    traceback or a failed fit."""
+    """Malformed documents, unusable paths and degenerate solver or
+    preprocessing settings exit 3 with an error line naming the field or
+    path, never with a traceback or a failed fit."""
     data = tmp_path / "mi.dat"
     model = tmp_path / "model.json"
     assert run(["synth", "--modality", "mi", "--trials", "4", "--samples", "64",
@@ -318,6 +331,9 @@ def test_bad_input_is_data_error(tmp_path, capsys, case):
         (["synth", "--modality", "mi", "--channels", "0"], "n_channels"),
         (["synth", "--modality", "p300", "--fs", "0"], "fs"),
         (["simulate", "--levels", "0"], "n_levels"),
+        (["synth", "--modality", "mi", "--fs", "inf"], "fs"),
+        (["synth", "--modality", "mi", "--snr", "nan"], "snr"),
+        (["simulate", "--sessions", "-1"], "sessions"),
     ],
 )
 def test_bad_synthetic_geometry_is_data_error(tmp_path, capsys, argv, field):

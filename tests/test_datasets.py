@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from riemann_bci import mdm
 from riemann_bci.datasets import (
     SyntheticSpec,
+    _colored_noise,
     default_mi_covariances,
     generate_mi,
     generate_p300,
@@ -232,6 +233,32 @@ class TestGenerateMi:
         labels = [e.label for e in generate_mi(spec)]
         assert sorted(set(labels)) == [0, 1, 2]
         assert len(labels) == 9
+
+
+def colored_noise_loop(rng, n, t, ar, mixing):
+    """Reference: the AR(1) recursion one sample at a time."""
+    innovations = rng.standard_normal((n, t)) * np.sqrt(1.0 - ar**2)
+    sources = np.empty((n, t))
+    sources[:, 0] = rng.standard_normal(n)
+    for i in range(1, t):
+        sources[:, i] = ar * sources[:, i - 1] + innovations[:, i]
+    return mixing @ sources
+
+
+class TestColoredNoise:
+    @pytest.mark.parametrize("n, t", [(1, 2), (6, 96), (8, 128), (16, 768)])
+    @pytest.mark.parametrize("ar", [0.5, 0.95, 0.99])
+    def test_matches_per_sample_loop(self, n, t, ar):
+        for seed in range(20):
+            mixing = np.random.default_rng(1000 + seed).standard_normal((n, n))
+            fast_rng = np.random.default_rng(seed)
+            loop_rng = np.random.default_rng(seed)
+            np.testing.assert_array_equal(
+                _colored_noise(fast_rng, n, t, ar, mixing),
+                colored_noise_loop(loop_rng, n, t, ar, mixing),
+            )
+            # Same number of draws, in the same order.
+            assert fast_rng.standard_normal() == loop_rng.standard_normal()
 
 
 class TestGenerateP300:

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import signal
 
+from riemann_bci import preprocessing
 from riemann_bci.errors import ContractError
 from riemann_bci.preprocessing import (
+    DEFAULT_BAND_ORDER,
     BandSpec,
     Epoch,
     bandpass,
@@ -40,6 +43,11 @@ class TestEpoch:
     def test_default_channel_names(self):
         e = Epoch(np.zeros((3, 10)), fs=128.0)
         assert e.channels == ("ch1", "ch2", "ch3")
+
+    @pytest.mark.parametrize("fs", [0.0, -1.0, np.inf, np.nan])
+    def test_rejects_bad_sampling_rate(self, fs):
+        with pytest.raises(ContractError, match="sampling rate"):
+            Epoch(np.zeros((2, 10)), fs=fs)
 
     def test_channel_count_mismatch(self):
         with pytest.raises(ContractError):
@@ -99,6 +107,66 @@ class TestBandpass:
         out = bandpass(e, BandSpec(8.0, 30.0))
         xc = np.correlate(out.data[0], e.data[0] - e.data[0].mean(), mode="full")
         assert int(np.argmax(xc)) == len(x) - 1
+
+
+def fresh_bandpass(x, fs, low, high, order):
+    """Reference: a newly designed filter for every call."""
+    sos = signal.butter(order, [low, high], btype="bandpass", fs=fs, output="sos")
+    padlen = min(3 * (order + 1), x.shape[1] - 1)
+    out = signal.sosfiltfilt(sos, x, axis=1, padtype="odd", padlen=padlen)
+    return out - out.mean(axis=1, keepdims=True)
+
+
+class TestBandpassDesignCache:
+    @pytest.mark.parametrize(
+        "order, low, high, fs",
+        [(1, 1.0, 16.0, 128.0), (4, 8.0, 30.0, 128.0), (4, 8.0, 30.0, 512.0),
+         (5, 14.0, 16.0, 128.0), (5, 19.0, 21.0, 250.0), (2, 0.5, 40.0, 100.0)],
+    )
+    def test_matches_fresh_design(self, rng, order, low, high, fs):
+        # The short lengths clip padlen to n_samples - 1.
+        for n_samples in (3, 8, 19, 128, 768):
+            x = rng.standard_normal((3, n_samples))
+            expected = fresh_bandpass(x, fs, low, high, order)
+            for _ in range(2):
+                out = bandpass(Epoch(x, fs=fs), BandSpec(low, high, order))
+                np.testing.assert_array_equal(out.data, expected)
+
+    def test_cached_design_not_mutated(self, rng):
+        spec = BandSpec(11.0, 13.0, order=5)
+        for n_samples in (16, 200, 768) * 20:
+            bandpass(Epoch(rng.standard_normal((2, n_samples)), fs=128.0), spec)
+        cached = preprocessing._butter_sos(5, 11.0, 13.0, 128.0)
+        fresh = signal.butter(5, [11.0, 13.0], btype="bandpass", fs=128.0, output="sos")
+        np.testing.assert_array_equal(cached, fresh)
+        assert not cached.flags.writeable
+
+    def test_sampling_rate_is_part_of_the_key(self, rng):
+        x = rng.standard_normal((2, 400))
+        spec = BandSpec(8.0, 30.0)
+        at_128 = bandpass(Epoch(x, fs=128.0), spec)
+        at_256 = bandpass(Epoch(x, fs=256.0), spec)
+        expected = fresh_bandpass(x, 256.0, 8.0, 30.0, DEFAULT_BAND_ORDER)
+        np.testing.assert_array_equal(at_256.data, expected)
+        assert not np.array_equal(
+            preprocessing._butter_sos(DEFAULT_BAND_ORDER, 8.0, 30.0, 128.0),
+            preprocessing._butter_sos(DEFAULT_BAND_ORDER, 8.0, 30.0, 256.0),
+        )
+
+    def test_one_design_per_band(self, rng, monkeypatch):
+        calls = []
+        real_butter = signal.butter
+
+        def counting_butter(*args, **kwargs):
+            calls.append(args)
+            return real_butter(*args, **kwargs)
+
+        preprocessing._butter_sos.cache_clear()
+        monkeypatch.setattr(signal, "butter", counting_butter)
+        for n_samples in (128, 256, 768, 128, 768):
+            e = Epoch(rng.standard_normal((4, n_samples)), fs=128.0)
+            ssvep_filter_bank(e, [12.0, 15.0, 20.0])
+        assert len(calls) == 3
 
 
 class TestDecimate:
