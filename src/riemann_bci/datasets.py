@@ -93,14 +93,20 @@ def _field(doc, key: str, where: str, convert=lambda v: v):
         return convert(doc[key])
     except ContractError:
         raise
-    except (TypeError, ValueError, KeyError, AttributeError) as exc:
+    except (TypeError, ValueError, KeyError, AttributeError, OverflowError) as exc:
         raise FileFormatError(f"{where} field '{key}' is malformed: {exc!r}") from exc
 
 
-def _count(v) -> int:
-    if not isinstance(v, int) or v < 0:
-        raise ValueError(f"expected a nonnegative integer, got {v!r}")
+def _integer(v, least: int | None = None) -> int:
+    """``v`` itself if it is a JSON integer (not a boolean) >= ``least``."""
+    if type(v) is not int or (least is not None and v < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"expected an integer{bound}, got {v!r}")
     return v
+
+
+def _ints(v, least: int | None = None) -> tuple[int, ...]:
+    return tuple(_integer(z, least) for z in v)
 
 
 def read_epochs(path) -> list[Epoch]:
@@ -116,11 +122,11 @@ def read_epochs(path) -> list[Epoch]:
     for key in ("version", "modality"):
         _field(header, key, "header")
     n_trials, n, t = (
-        _field(header, key, "header", _count)
+        _field(header, key, "header", lambda v: _integer(v, 0))
         for key in ("n_trials", "n_channels", "n_samples")
     )
     fs = _field(header, "fs_hz", "header", float)
-    labels = _field(header, "labels", "header", lambda v: [int(z) for z in v])
+    labels = _field(header, "labels", "header", _ints)
     channels = _field(header, "channel_names", "header", tuple)
     if len(labels) != n_trials:
         raise FileFormatError(
@@ -185,8 +191,8 @@ def _prototypes_from_doc(docs) -> tuple[Prototype, ...]:
     return tuple(
         Prototype(
             data=np.asarray(p["data"], dtype=np.float64),
-            class_id=int(p["class_id"]),
-            n_epochs=int(p["n_epochs"]),
+            class_id=_integer(p["class_id"]),
+            n_epochs=_integer(p["n_epochs"], 1),
         )
         for p in docs
     )
@@ -198,9 +204,9 @@ def _recipe_from_doc(doc) -> FeatureRecipe:
         prototypes=_field(doc, "prototypes", "recipe", _prototypes_from_doc),
         freqs=_field(doc, "freqs", "recipe", lambda v: tuple(float(f) for f in v)),
         width_hz=_field(doc, "width_hz", "recipe", float),
-        order=_field(doc, "order", "recipe", int),
+        order=_field(doc, "order", "recipe", lambda v: _integer(v, 1)),
         shrinkage=_field(doc, "shrinkage", "recipe"),
-        n_subjects=_field(doc, "n_subjects", "recipe", int),
+        n_subjects=_field(doc, "n_subjects", "recipe", lambda v: _integer(v, 1)),
     )
 
 
@@ -213,10 +219,6 @@ def model_to_doc(model) -> dict:
         "recipe": _recipe_to_doc(model.recipe),
         "means": [m.values.tolist() for m in model.means],
     }
-
-
-def _ints(v) -> tuple[int, ...]:
-    return tuple(int(z) for z in v)
 
 
 def _spd_matrices(v) -> tuple[SpdMatrix, ...]:
@@ -233,7 +235,7 @@ def model_from_doc(doc: dict):
         class_ids=_field(doc, "class_ids", where, _ints),
         means=_field(doc, "means", where, _spd_matrices),
         recipe=_field(doc, "recipe", where, _recipe_from_doc),
-        counts=_field(doc, "counts", where, _ints),
+        counts=_field(doc, "counts", where, lambda v: _ints(v, 1)),
     )
 
 
@@ -273,19 +275,19 @@ def load_fused(path):
         raise FileFormatError(f"unexpected document format {doc['format']!r}")
     fused = FusedClassifier(
         generic=_field(doc, "generic", where, model_from_doc),
-        ramp=_field(doc, "ramp", where, int),
+        ramp=_field(doc, "ramp", where, _integer),
     )
     fused.n_rep = _field(doc, "n_rep", where, float)
     fused.individual_means.update(
         _field(
             doc, "individual_means", where,
-            lambda d: dict(zip(_ints(d), _spd_matrices(d.values()))),
+            lambda d: dict(zip(map(int, d), _spd_matrices(d.values()))),
         )
     )
     fused.individual_counts.update(
         _field(
             doc, "individual_counts", where,
-            lambda d: dict(zip(_ints(d), _ints(d.values()))),
+            lambda d: dict(zip(map(int, d), _ints(d.values(), 1))),
         )
     )
     return fused

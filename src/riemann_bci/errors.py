@@ -26,7 +26,8 @@ class EigenSolverError(NumericError):
 
 
 class MeanConvergenceError(NumericError):
-    """The geometric-mean fixed-point iteration hit its iteration cap."""
+    """The geometric-mean conjugate-gradient solver hit its iteration cap
+    without reaching the residual tolerance."""
 
     def __init__(self, residual: float, iterations: int, context: str = ""):
         self.residual = residual

@@ -20,6 +20,9 @@ ERP_BAND = (1.0, 16.0)
 DEFAULT_BAND_ORDER = 4
 SSVEP_BAND_ORDER = 5
 SSVEP_BAND_WIDTH_HZ = 2.0
+# scipy's band-pass designs above this order can come out non-finite (from
+# order 48 near Nyquist), overflow (from about 150) or take seconds to make.
+MAX_BAND_ORDER = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,8 +90,10 @@ class BandSpec:
             raise ContractError(
                 f"band must satisfy 0 < low < high, got [{self.low_hz}, {self.high_hz}]"
             )
-        if self.order < 1:
-            raise ContractError(f"filter order must be >= 1, got {self.order}")
+        if not 1 <= self.order <= MAX_BAND_ORDER:
+            raise ContractError(
+                f"filter order must lie in [1, {MAX_BAND_ORDER}], got {self.order}"
+            )
 
 
 def demean(e: Epoch) -> Epoch:

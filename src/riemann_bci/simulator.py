@@ -253,6 +253,8 @@ class SyntheticSessionConfig:
     shrinkage: float = DEFAULT_ERP_SHRINKAGE
 
     def __post_init__(self):
+        if self.n_items < 2:
+            raise ContractError(f"n_items must be >= 2, got {self.n_items}")
         if self.n_levels < 1:
             raise ContractError(f"n_levels must be >= 1, got {self.n_levels}")
 

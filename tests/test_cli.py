@@ -1,10 +1,14 @@
 import csv
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riemann_bci.cli import main
-from riemann_bci.datasets import read_epochs
+from riemann_bci.datasets import load_model, read_epochs, save_model
 
 
 def run(argv):
@@ -257,6 +261,21 @@ def _string_class_ids(tmp_path, model, data):
     return _eval(tmp_path, bad, data), "'class_ids'"
 
 
+def _negative_counts(tmp_path, model, data):
+    bad = _rewritten_model(tmp_path, model, lambda doc: doc.update(counts=[-5, 3]))
+    return _eval(tmp_path, bad, data), "'counts'"
+
+
+def _fractional_order(tmp_path, model, data):
+    bad = _rewritten_model(tmp_path, model, lambda doc: doc["recipe"].update(order=2.7))
+    return _eval(tmp_path, bad, data), "'order'"
+
+
+def _fractional_class_ids(tmp_path, model, data):
+    bad = _rewritten_model(tmp_path, model, lambda doc: doc.update(class_ids=[0.5, 1.9]))
+    return _eval(tmp_path, bad, data), "'class_ids'"
+
+
 def _missing_model(tmp_path, model, data):
     missing = tmp_path / "nope.json"
     return _eval(tmp_path, missing, data), str(missing)
@@ -301,7 +320,8 @@ def _zero_decimation_rate(tmp_path, model, data):
 
 @pytest.mark.parametrize(
     "case",
-    [_missing_freqs, _non_utf8_model, _string_class_ids, _missing_model,
+    [_missing_freqs, _non_utf8_model, _string_class_ids, _negative_counts,
+     _fractional_order, _fractional_class_ids, _missing_model,
      _missing_input, _number_header, _infinite_fs_header, _report_in_missing_dir,
      _zero_mean_iterations, _negative_mean_tol, _zero_decimation_rate],
     ids=lambda case: case.__name__.lstrip("_"),
@@ -334,6 +354,7 @@ def test_bad_input_is_data_error(tmp_path, capsys, case):
         (["synth", "--modality", "mi", "--fs", "inf"], "fs"),
         (["synth", "--modality", "mi", "--snr", "nan"], "snr"),
         (["simulate", "--sessions", "-1"], "sessions"),
+        (["simulate", "--items", "0"], "n_items"),
     ],
 )
 def test_bad_synthetic_geometry_is_data_error(tmp_path, capsys, argv, field):
@@ -341,3 +362,60 @@ def test_bad_synthetic_geometry_is_data_error(tmp_path, capsys, argv, field):
     assert run(argv + ["--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{field} must" in err, err
+
+
+# One of each kind of hostile JSON value: negative, float, huge, string,
+# null, list and object (10**400 overflows a float).
+HOSTILE_VALUES = st.sampled_from(
+    [-1, -5, 0.5, 2.7, 1e308, 10**30, 10**400, "", "x", None, [], [1, "a"], {}, {"k": 1}]
+)
+
+
+@pytest.fixture(scope="module")
+def fitted_models(tmp_path_factory):
+    """(model file, epoch file) of one small fitted model per modality."""
+    root = tmp_path_factory.mktemp("models")
+    fitted = []
+    for modality, extra in (("mi", []), ("p300", []), ("ssvep", ["--freqs", "10", "15"])):
+        data, model = root / f"{modality}.dat", root / f"{modality}.json"
+        assert run(["synth", "--modality", modality, "--trials", "4", "--channels", "3",
+                    "--samples", "128", "--fs", "64", "--seed", "0",
+                    "--out", str(data)] + extra) == 0
+        assert run(["fit", "--modality", modality, "--in", str(data),
+                    "--out", str(model)] + extra) == 0
+        fitted.append((model, data))
+    return fitted
+
+
+def _replace_one_value(doc, data):
+    """Replace one value of ``doc``, at a depth drawn from ``data``."""
+    node = doc
+    while True:
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        key = data.draw(st.sampled_from(keys))
+        child = node[key]
+        if not (isinstance(child, (dict, list)) and child and data.draw(st.booleans())):
+            node[key] = data.draw(HOSTILE_VALUES)
+            return
+        node = child
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_hostile_model_document(fitted_models, data):
+    """A model document with one value replaced at any depth is evaluated
+    (0) or refused (3 data, 4 numeric), never crashes; one that is accepted
+    saves to a document that loads and saves back byte-identically."""
+    model, epochs = data.draw(st.sampled_from(fitted_models))
+    doc = json.loads(model.read_text())
+    _replace_one_value(doc, data)
+    with tempfile.TemporaryDirectory() as tmp:
+        bad, saved, resaved = (Path(tmp) / name for name in ("bad.json", "a.json", "b.json"))
+        bad.write_text(json.dumps(doc))
+        code = run(["eval", "--model", str(bad), "--in", str(epochs),
+                    "--report", str(Path(tmp) / "r.csv")])
+        assert code in (0, 3, 4)
+        if code == 0:
+            save_model(saved, load_model(bad))
+            save_model(resaved, load_model(saved))
+            assert resaved.read_bytes() == saved.read_bytes()

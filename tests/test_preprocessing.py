@@ -8,6 +8,7 @@ from riemann_bci import preprocessing
 from riemann_bci.errors import ContractError
 from riemann_bci.preprocessing import (
     DEFAULT_BAND_ORDER,
+    MAX_BAND_ORDER,
     BandSpec,
     Epoch,
     bandpass,
@@ -88,6 +89,11 @@ class TestBandpass:
             BandSpec(30.0, 8.0)
         with pytest.raises(ContractError):
             BandSpec(-1.0, 8.0)
+
+    @pytest.mark.parametrize("order", [0, MAX_BAND_ORDER + 1, 10**20])
+    def test_invalid_order(self, order):
+        with pytest.raises(ContractError, match="filter order"):
+            BandSpec(8.0, 30.0, order=order)
 
     def test_linearity(self, rng):
         x = Epoch(rng.standard_normal((3, 600)), fs=128.0)

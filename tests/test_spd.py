@@ -3,11 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from riemann_bci import spd
+from riemann_bci.datasets import SyntheticSpec, generate_p300
 from riemann_bci.errors import (
     ContractError,
     MeanConvergenceError,
     NotPositiveDefiniteError,
 )
+from riemann_bci.features import P300, build_recipe, featurize
+from riemann_bci.preprocessing import demean
 from riemann_bci.spd import (
     SpdMatrix,
     SymmetricMatrix,
@@ -51,9 +55,12 @@ class TestEvd:
         with pytest.raises(ContractError):
             SymmetricMatrix(np.zeros((2, 3)))
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_rejects_nonfinite(self):
         with pytest.raises(ContractError):
             SymmetricMatrix(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+        with pytest.raises(ContractError):  # finite, but a + a^T overflows
+            SymmetricMatrix(np.full((2, 2), 1e308))
 
 
 class TestSpdMatrix:
@@ -247,3 +254,79 @@ class TestGeometricMean:
     def test_empty_set(self):
         with pytest.raises(ContractError):
             geometric_mean([])
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    def test_rejects_nonpositive_tolerance(self, tol):
+        identity = SpdMatrix(np.eye(2))
+        with pytest.raises(ContractError, match="tolerance"):
+            geometric_mean([identity, identity], tol=tol)
+
+    def test_eigensolver_budget(self, monkeypatch):
+        """One criterion-5 class mean (50 P300 features of 16x16 at auto
+        shrinkage) took 2652 eigendecompositions by fixed-point iteration;
+        conjugate gradient needs about a third of that."""
+        train = [demean(e) for e in generate_p300(SyntheticSpec(trials_per_class=50, seed=0))[0]]
+        recipe = build_recipe(P300, training=train, shrinkage="auto")
+        feats = [featurize(e, recipe) for e in train if e.label == 0]
+        assert (len(feats), feats[0].dim) == (50, 16)
+        calls = []
+        real_eigh = np.linalg.eigh
+
+        def counting_eigh(a):
+            calls.append(a.shape)
+            return real_eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        out = geometric_mean(feats)
+        assert len(calls) <= 1300
+        monkeypatch.undo()
+        assert karcher_residual(out, feats) < 1e-8 * 16
+
+    @pytest.mark.parametrize("cond", [1e4, 1e6])
+    @pytest.mark.parametrize("dim", [4, 8, 16])
+    def test_widely_spread_small_sets_converge(self, rng, cond, dim):
+        for k in (2, 3, 4):
+            mats = [random_spd(rng, dim, cond=cond) for _ in range(k)]
+            out = geometric_mean(mats)
+            assert karcher_residual(out, mats) < 1e-8 * dim
+
+    def test_non_descent_direction_restarts_along_gradient(self, monkeypatch):
+        """Four 2x2 matrices at condition 1e6: one Polak-Ribiere direction
+        is not a descent direction, and the solver steps along G instead.
+
+        Every step is recorded; the directions are recomputed from the
+        recorded gradients (the first direction is the gradient itself)."""
+        rng = np.random.default_rng(2)
+        mats = [random_spd(rng, 2, cond=1e6) for _ in range(4)]
+        steps = []  # (frame stepped from, direction, (frame, G, residual) reached)
+        real_step = spd._step
+
+        def recording_step(frame, d, alpha, values):
+            reached = real_step(frame, d, alpha, values)
+            steps.append((frame, d, reached))
+            return reached
+
+        monkeypatch.setattr(spd, "_step", recording_step)
+        out = geometric_mean(mats)
+        iterations = []  # [frame, direction, points reached], one per iteration
+        for frame, d, reached in steps:
+            if not iterations or iterations[-1][0] is not frame:
+                iterations.append([frame, d, []])
+            iterations[-1][2].append(reached)
+        # the point each iteration moved to is the frame the next one starts from
+        accepted = [
+            next(p for p in it[2] if p[0] is nxt[0])
+            for it, nxt in zip(iterations, iterations[1:])
+        ]
+        gradients = [iterations[0][1]] + [p[1] for p in accepted]
+        restarts = 0
+        for i in range(1, len(accepted)):
+            g, g_prev, d_prev = gradients[i], gradients[i - 1], iterations[i - 1][1]
+            beta = max(0.0, float(np.vdot(g, g - g_prev)) / float(np.vdot(g_prev, g_prev)))
+            direction = g + beta * d_prev
+            if float(np.vdot(g, direction)) <= 0.0:
+                restarts += 1
+                direction = g
+            np.testing.assert_allclose(iterations[i][1], direction, rtol=1e-12, atol=0.0)
+        assert restarts >= 1
+        assert karcher_residual(out, mats) < 1e-8 * 2
