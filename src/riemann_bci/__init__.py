@@ -49,7 +49,6 @@ from .preprocessing import (
     ssvep_filter_bank,
 )
 from .spd import (
-    Evd,
     SpdMatrix,
     SymmetricMatrix,
     geodesic,
@@ -67,7 +66,6 @@ __all__ = [
     "DistanceVector",
     "EigenSolverError",
     "Epoch",
-    "Evd",
     "FeatureRecipe",
     "FileFormatError",
     "FusedClassifier",

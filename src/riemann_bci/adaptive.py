@@ -5,7 +5,9 @@ repetitions arrive, an individual model is grown online and the two are
 blended: the individual classifier's weight follows the linear ramp
 alpha = min(1, n_rep / ramp) (ramp defaults to 40 repetitions), so the
 generic model carries a naive user at first and is phased out entirely
-once enough personal data has been absorbed.
+once enough personal data has been absorbed.  Every session starts this
+way, from the generic model alone: no individual model is carried from
+one session into the next.
 
 Both classifiers share one feature recipe, so their outputs are fused by
 a weighted sum of per-class distances, each vector first normalized by
@@ -131,22 +133,3 @@ class FusedClassifier:
         self.individual_counts[true_label] = count + 1
         self.n_rep += rep_increment
         return self
-
-    @classmethod
-    def seeded(
-        cls, generic: MdmModel, prior: MdmModel, ramp: int = DEFAULT_RAMP
-    ) -> "FusedClassifier":
-        """Start a session with an individual model from earlier sessions.
-
-        The initial repetition credit is min(ramp, prior epochs per class),
-        so a returning user begins with a proportionally raised weight
-        instead of the naive alpha = 0.
-        """
-        if prior.class_ids != generic.class_ids:
-            raise ContractError("prior model must share the generic model's classes")
-        fused = cls(generic=generic, ramp=ramp)
-        for z, mean, count in zip(prior.class_ids, prior.means, prior.counts):
-            fused.individual_means[z] = mean
-            fused.individual_counts[z] = count
-        fused.n_rep = float(min(ramp, min(prior.counts)))
-        return fused

@@ -220,6 +220,9 @@ def cmd_simulate(args) -> int:
     )
     generic = synthetic_generic_model(config)
     training = synthetic_training_run(config)
+    if args.mode == NON_ADAPTIVE:
+        recipe = build_recipe(P300, training=training, shrinkage=config.shrinkage)
+        trained = mdm_mod.fit(training, recipe)
     rows = []
     capped = 0
     for session in range(args.sessions):
@@ -237,10 +240,7 @@ def cmd_simulate(args) -> int:
             if args.mode == ADAPTIVE:
                 clf = FusedClassifier(generic=generic, ramp=config.ramp)
             else:
-                recipe = build_recipe(
-                    P300, training=training, shrinkage=config.shrinkage
-                )
-                clf = mdm_mod.fit(training, recipe)
+                clf = trained
             results, _ = run_session(levels, clf, args.mode)
             rows += session_rows(session, results)
         capped += sum(1 for r in results if not r.solved)

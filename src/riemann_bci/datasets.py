@@ -9,9 +9,10 @@ Epoch file layout (bit-exact across platforms):
              float32 values, little endian, trial-major then
              channel-major (C order).
 
-Model files are single JSON documents holding the recipe, class ids,
-per-class training counts, and the class means as row-major float64
-decimal arrays; reading one back reproduces the model exactly.
+Model files are single JSON documents holding the format name, version,
+recipe, class ids, per-class training counts, and the class means as
+row-major float64 decimal arrays; reading one back reproduces the model
+exactly.  Both readers refuse a version other than FILE_VERSION.
 
 The generators realize a zero-mean Gaussian data model: each motor-imagery
 class is a draw from N(0, Sigma_z); P300 targets are a fixed temporal
@@ -41,6 +42,10 @@ FILE_VERSION = 1
 # 1 s at 128 Hz, 50 trials per class, shrinkage 1e-2): mean held-out AUC
 # over seeds 0..19 lands at 0.908.  See scripts/calibrate_p300_snr.py.
 DEFAULT_P300_SNR = 0.9
+# Every P300 trial: AR(1) coefficient of the noise sources, and standard
+# deviation of the random-sign ERP-shaped background (template units).
+P300_AR_COEFF = 0.95
+P300_BACKGROUND_ERP = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +114,12 @@ def _ints(v, least: int | None = None) -> tuple[int, ...]:
     return tuple(_integer(z, least) for z in v)
 
 
+def _version(v) -> int:
+    if _integer(v) != FILE_VERSION:
+        raise ValueError(f"expected version {FILE_VERSION}, got {v!r}")
+    return v
+
+
 def read_epochs(path) -> list[Epoch]:
     """Read an epoch file; parse errors name the offending field."""
     blob = Path(path).read_bytes()
@@ -119,8 +130,8 @@ def read_epochs(path) -> list[Epoch]:
         header = json.loads(blob[:newline].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FileFormatError(f"unparseable header: {exc}") from exc
-    for key in ("version", "modality"):
-        _field(header, key, "header")
+    _field(header, "version", "header", _version)
+    _field(header, "modality", "header")
     n_trials, n, t = (
         _field(header, key, "header", lambda v: _integer(v, 0))
         for key in ("n_trials", "n_channels", "n_samples")
@@ -159,13 +170,6 @@ def read_epochs(path) -> list[Epoch]:
 
 # ---------------------------------------------------------------------------
 # model files
-
-
-def _read_document(path, what: str):
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FileFormatError(f"unparseable {what} {path}: {exc}") from exc
 
 
 def _recipe_to_doc(recipe: FeatureRecipe) -> dict:
@@ -210,8 +214,8 @@ def _recipe_from_doc(doc) -> FeatureRecipe:
     )
 
 
-def model_to_doc(model) -> dict:
-    return {
+def save_model(path, model) -> None:
+    doc = {
         "format": "mdm-model",
         "version": FILE_VERSION,
         "class_ids": list(model.class_ids),
@@ -219,78 +223,30 @@ def model_to_doc(model) -> dict:
         "recipe": _recipe_to_doc(model.recipe),
         "means": [m.values.tolist() for m in model.means],
     }
-
-
-def _spd_matrices(v) -> tuple[SpdMatrix, ...]:
-    return tuple(SpdMatrix(np.asarray(m, dtype=np.float64)) for m in v)
-
-
-def model_from_doc(doc: dict):
-    from .mdm import MdmModel
-
-    where = "model document"
-    if _field(doc, "format", where) != "mdm-model":
-        raise FileFormatError(f"unexpected document format {doc['format']!r}")
-    return MdmModel(
-        class_ids=_field(doc, "class_ids", where, _ints),
-        means=_field(doc, "means", where, _spd_matrices),
-        recipe=_field(doc, "recipe", where, _recipe_from_doc),
-        counts=_field(doc, "counts", where, lambda v: _ints(v, 1)),
-    )
-
-
-def save_model(path, model) -> None:
-    Path(path).write_text(json.dumps(model_to_doc(model), sort_keys=True))
-
-
-def load_model(path):
-    return model_from_doc(_read_document(path, "model document"))
-
-
-def save_fused(path, fused) -> None:
-    """Persist a fused classifier: generic model, individual means/counts,
-    repetition credit and ramp."""
-    doc = {
-        "format": "fused-classifier",
-        "version": FILE_VERSION,
-        "generic": model_to_doc(fused.generic),
-        "n_rep": fused.n_rep,
-        "ramp": fused.ramp,
-        "individual_means": {
-            str(z): m.values.tolist() for z, m in fused.individual_means.items()
-        },
-        "individual_counts": {
-            str(z): c for z, c in fused.individual_counts.items()
-        },
-    }
     Path(path).write_text(json.dumps(doc, sort_keys=True))
 
 
-def load_fused(path):
-    from .adaptive import FusedClassifier
+def load_model(path):
+    """Read a model document; parse errors name the offending field."""
+    from .mdm import MdmModel
 
-    where = "classifier document"
-    doc = _read_document(path, where)
-    if _field(doc, "format", where) != "fused-classifier":
+    where = "model document"
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FileFormatError(f"unparseable {where} {path}: {exc}") from exc
+    if _field(doc, "format", where) != "mdm-model":
         raise FileFormatError(f"unexpected document format {doc['format']!r}")
-    fused = FusedClassifier(
-        generic=_field(doc, "generic", where, model_from_doc),
-        ramp=_field(doc, "ramp", where, _integer),
+    _field(doc, "version", where, _version)
+    return MdmModel(
+        class_ids=_field(doc, "class_ids", where, _ints),
+        means=_field(
+            doc, "means", where,
+            lambda v: tuple(SpdMatrix(np.asarray(m, dtype=np.float64)) for m in v),
+        ),
+        recipe=_field(doc, "recipe", where, _recipe_from_doc),
+        counts=_field(doc, "counts", where, lambda v: _ints(v, 1)),
     )
-    fused.n_rep = _field(doc, "n_rep", where, float)
-    fused.individual_means.update(
-        _field(
-            doc, "individual_means", where,
-            lambda d: dict(zip(map(int, d), _spd_matrices(d.values()))),
-        )
-    )
-    fused.individual_counts.update(
-        _field(
-            doc, "individual_counts", where,
-            lambda d: dict(zip(map(int, d), _ints(d.values(), 1))),
-        )
-    )
-    return fused
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +259,8 @@ class SyntheticSpec:
 
     ``class_covs`` drives the motor-imagery mode; ``snr`` the P300 and SSVEP
     modes (snr = 0 is the null model: targets are indistinguishable noise).
+    The P300 noise coefficient and background size are the module
+    constants ``P300_AR_COEFF`` and ``P300_BACKGROUND_ERP``.
     """
 
     n_channels: int = 8
@@ -315,9 +273,7 @@ class SyntheticSpec:
     latency_s: float = 0.30
     latency_jitter_s: float = 0.05
     amp_jitter: float = 0.5
-    background_erp: float = 0.5
     gain_center: float = 0.60
-    ar_coeff: float = 0.95
     freqs: tuple[float, ...] = (12.0, 15.0, 20.0)
 
     def __post_init__(self):
@@ -418,9 +374,9 @@ def p300_trial(
     """
     if mixing is None:
         mixing = _mixing(spec.n_channels)
-    noise = _colored_noise(rng, spec.n_channels, spec.n_samples, spec.ar_coeff, mixing)
+    noise = _colored_noise(rng, spec.n_channels, spec.n_samples, P300_AR_COEFF, mixing)
     scale = np.sqrt(np.mean(_p300_response(spec, spec.latency_s) ** 2))
-    bg_amp = rng.normal(0.0, spec.background_erp)
+    bg_amp = rng.normal(0.0, P300_BACKGROUND_ERP)
     bg_latency = spec.latency_s + rng.normal(0.0, spec.latency_jitter_s)
     data = noise + bg_amp * _p300_response(spec, bg_latency) / scale
     if is_target:

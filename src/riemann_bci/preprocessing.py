@@ -15,8 +15,6 @@ from scipy import signal
 
 from .errors import ContractError
 
-MI_BAND = (8.0, 30.0)
-ERP_BAND = (1.0, 16.0)
 DEFAULT_BAND_ORDER = 4
 SSVEP_BAND_ORDER = 5
 SSVEP_BAND_WIDTH_HZ = 2.0

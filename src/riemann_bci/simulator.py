@@ -225,15 +225,26 @@ def session_rows(
 # synthetic sessions
 
 
+GENERIC_SHIFT_S = 0.20
+GENERIC_GAIN_CENTER = 0.10
+GENERIC_SNR_SCALE = 0.4
+GENERIC_TRIALS = 6
+TRAINING_TRIALS = 40
+RUN_SEED = 202
+
+
 @dataclass(frozen=True)
 class SyntheticSessionConfig:
     """Geometry and difficulty of a synthetic selection session.
 
     The subject's epochs follow ``subject``.  The generic model is
-    deliberately mismatched: trained on few trials of a world with shifted
-    response latency and scalp profile, emulating a rough cross-subject
-    transfer for a naive user (its stand-alone mean NRD is around 4 to 5,
-    against about 1.5 for a subject-calibrated model).
+    deliberately mismatched: fitted on ``GENERIC_TRIALS`` per class of a
+    world with shifted response latency and scalp profile and a weaker
+    response (``GENERIC_SHIFT_S``, ``GENERIC_GAIN_CENTER``,
+    ``GENERIC_SNR_SCALE``), emulating a rough cross-subject transfer for a
+    naive user (its stand-alone mean NRD is around 4 to 5, against about
+    1.5 for a model calibrated on the subject's own ``TRAINING_TRIALS`` per
+    class).  Both training runs are generated with ``RUN_SEED``.
     """
 
     n_items: int = 12
@@ -244,11 +255,6 @@ class SyntheticSessionConfig:
             n_channels=6, n_samples=96, fs=96.0, snr=0.85
         )
     )
-    generic_shift_s: float = 0.20
-    generic_gain_center: float = 0.10
-    generic_snr_scale: float = 0.4
-    generic_trials: int = 6
-    training_trials: int = 40
     ramp: int = DEFAULT_RAMP
     shrinkage: float = DEFAULT_ERP_SHRINKAGE
 
@@ -259,31 +265,26 @@ class SyntheticSessionConfig:
             raise ContractError(f"n_levels must be >= 1, got {self.n_levels}")
 
 
-def generic_spec(config: SyntheticSessionConfig) -> SyntheticSpec:
-    return replace(
-        config.subject,
-        latency_s=config.subject.latency_s + config.generic_shift_s,
-        gain_center=config.generic_gain_center,
-        snr=config.subject.snr * config.generic_snr_scale,
-    )
-
-
-def synthetic_generic_model(
-    config: SyntheticSessionConfig, seed: int = 202
-) -> MdmModel:
+def synthetic_generic_model(config: SyntheticSessionConfig) -> MdmModel:
     """Fit the mismatched generic model for a synthetic session."""
-    spec = replace(generic_spec(config), trials_per_class=config.generic_trials, seed=seed)
+    subject = config.subject
+    spec = replace(
+        subject,
+        latency_s=subject.latency_s + GENERIC_SHIFT_S,
+        gain_center=GENERIC_GAIN_CENTER,
+        snr=subject.snr * GENERIC_SNR_SCALE,
+        trials_per_class=GENERIC_TRIALS,
+        seed=RUN_SEED,
+    )
     epochs, _ = generate_p300(spec)
     train = [demean(e) for e in epochs]
     recipe = build_recipe(P300, training=train, shrinkage=config.shrinkage)
     return mdm_mod.fit(train, recipe)
 
 
-def synthetic_training_run(
-    config: SyntheticSessionConfig, seed: int = 202
-) -> list[Epoch]:
+def synthetic_training_run(config: SyntheticSessionConfig) -> list[Epoch]:
     """The subject's own calibration epochs for the non-adaptive mode."""
-    spec = replace(config.subject, trials_per_class=config.training_trials, seed=seed)
+    spec = replace(config.subject, trials_per_class=TRAINING_TRIALS, seed=RUN_SEED)
     epochs, _ = generate_p300(spec)
     return [demean(e) for e in epochs]
 

@@ -161,7 +161,7 @@ def riemann_distance(c1: SpdMatrix, c2: SpdMatrix) -> float:
         w = np.linalg.eigvalsh(_symmetrize(isq @ c2.values @ isq))
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(c1.dim) from exc
-    if w[0] <= 0.0:
+    if not w[0] > 0.0:
         raise NumericError(
             "whitened matrix lost positive definiteness "
             f"(min eigenvalue {w[0]:.3e}); inputs are too ill-conditioned"
@@ -186,7 +186,7 @@ def geodesic(c1: SpdMatrix, c2: SpdMatrix, t: float) -> SpdMatrix:
     isq = c1._inv_sqrt_array()
     sq = c1._sqrt_array()
     w, u = _eigh_descending(_symmetrize(isq @ c2.values @ isq))
-    if w[-1] <= 0.0:
+    if not w[-1] > 0.0:
         raise NumericError("whitened matrix lost positive definiteness")
     inner = _rebuild(u, w**t)
     return SpdMatrix(sq @ inner @ sq)
@@ -226,7 +226,7 @@ def geometric_mean(
     values = [m.values for m in mats]
     start = np.mean(values, axis=0)
     w, u = _eigh_descending(start)
-    if w[-1] <= 0.0:
+    if not w[-1] > 0.0:
         raise NumericError("mean iterate lost positive definiteness")
     frame = (u * np.sqrt(w), (u / np.sqrt(w)).T)  # L and L^-1
     g, residual = _mean_log(frame[1], values)
@@ -271,7 +271,7 @@ def _mean_log(whiten: np.ndarray, values: Sequence[np.ndarray]) -> tuple[np.ndar
     total = np.zeros_like(whiten)
     for value in values:
         w, u = _eigh_descending(_symmetrize(whiten @ value @ whiten.T))
-        if w[-1] <= 0.0:
+        if not w[-1] > 0.0:
             raise NumericError("whitened matrix lost positive definiteness")
         total += _rebuild(u, np.log(w))
     g = total / len(values)

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +5,6 @@ from hypothesis import strategies as st
 
 from riemann_bci import mdm
 from riemann_bci.adaptive import FusedClassifier
-from riemann_bci.datasets import load_fused, save_fused
 from riemann_bci.errors import ContractError
 from riemann_bci.features import MI, FeatureRecipe, featurize
 from riemann_bci.preprocessing import Epoch
@@ -177,47 +174,3 @@ class TestAbsorb:
         for mean in fc.individual_means.values():
             assert isinstance(mean, SpdMatrix)
 
-
-class TestSeeding:
-    def test_seeded_weight_proportional_to_prior_data(self, rng):
-        generic = generic_model(rng)
-        prior = mdm.fit([epoch(rng, label=z) for z in (0, 0, 0, 1, 1, 1)], MI_RECIPE)
-        fc = FusedClassifier.seeded(generic, prior, ramp=40)
-        assert fc.n_rep == 3.0
-        assert fc.alpha == pytest.approx(3.0 / 40.0)
-
-    def test_seeding_capped_at_ramp(self, rng):
-        generic = generic_model(rng)
-        prior = mdm.fit([epoch(rng, label=z % 2) for z in range(100)], MI_RECIPE)
-        fc = FusedClassifier.seeded(generic, prior, ramp=10)
-        assert fc.n_rep == 10.0
-        assert fc.alpha == 1.0
-
-
-class TestFusedSerialization:
-    def test_round_trip(self, rng, tmp_path):
-        fc = FusedClassifier(generic=generic_model(rng), ramp=25)
-        for _ in range(6):
-            fc.absorb(epoch(rng), int(rng.integers(0, 2)), rep_increment=0.5)
-        path = tmp_path / "fused.json"
-        save_fused(path, fc)
-        back = load_fused(path)
-        assert back.ramp == fc.ramp
-        assert back.n_rep == fc.n_rep
-        assert back.individual_counts == fc.individual_counts
-        for z in fc.individual_means:
-            np.testing.assert_array_equal(
-                back.individual_means[z].values, fc.individual_means[z].values
-            )
-        e = epoch(rng)
-        np.testing.assert_allclose(
-            back.fused_distances(e).values, fc.fused_distances(e).values, rtol=1e-12
-        )
-        doc = json.loads(path.read_text())
-        assert "update" not in doc
-        # documents written with the former update-mode key still load
-        legacy = tmp_path / "legacy.json"
-        legacy.write_text(json.dumps({**doc, "update": "incremental"}))
-        np.testing.assert_array_equal(
-            load_fused(legacy).fused_distances(e).values, back.fused_distances(e).values
-        )

@@ -292,13 +292,28 @@ def _number_header(tmp_path, model, data):
     return _fit(tmp_path, bad), "header"
 
 
-def _infinite_fs_header(tmp_path, model, data):
+def _rewritten_header(tmp_path, data, mutate):
     header, payload = data.read_bytes().split(b"\n", 1)
     doc = json.loads(header)
-    doc["fs_hz"] = float("inf")
+    mutate(doc)
     bad = tmp_path / "bad.dat"
     bad.write_bytes(json.dumps(doc).encode() + b"\n" + payload)
+    return bad
+
+
+def _infinite_fs_header(tmp_path, model, data):
+    bad = _rewritten_header(tmp_path, data, lambda doc: doc.update(fs_hz=float("inf")))
     return _fit(tmp_path, bad), "sampling rate must"
+
+
+def _future_epoch_version(tmp_path, model, data):
+    bad = _rewritten_header(tmp_path, data, lambda doc: doc.update(version=99))
+    return _fit(tmp_path, bad), "'version'"
+
+
+def _future_model_version(tmp_path, model, data):
+    bad = _rewritten_model(tmp_path, model, lambda doc: doc.update(version=99))
+    return _eval(tmp_path, bad, data), "'version'"
 
 
 def _report_in_missing_dir(tmp_path, model, data):
@@ -322,14 +337,15 @@ def _zero_decimation_rate(tmp_path, model, data):
     "case",
     [_missing_freqs, _non_utf8_model, _string_class_ids, _negative_counts,
      _fractional_order, _fractional_class_ids, _missing_model,
-     _missing_input, _number_header, _infinite_fs_header, _report_in_missing_dir,
-     _zero_mean_iterations, _negative_mean_tol, _zero_decimation_rate],
+     _missing_input, _number_header, _infinite_fs_header, _future_epoch_version,
+     _future_model_version, _report_in_missing_dir, _zero_mean_iterations,
+     _negative_mean_tol, _zero_decimation_rate],
     ids=lambda case: case.__name__.lstrip("_"),
 )
 def test_bad_input_is_data_error(tmp_path, capsys, case):
-    """Malformed documents, unusable paths and degenerate solver or
-    preprocessing settings exit 3 with an error line naming the field or
-    path, never with a traceback or a failed fit."""
+    """Malformed or unsupported-version documents, unusable paths and
+    degenerate solver or preprocessing settings exit 3 with an error line
+    naming the field or path, never with a traceback or a failed fit."""
     data = tmp_path / "mi.dat"
     model = tmp_path / "model.json"
     assert run(["synth", "--modality", "mi", "--trials", "4", "--samples", "64",
@@ -419,3 +435,17 @@ def test_hostile_model_document(fitted_models, data):
             save_model(saved, load_model(bad))
             save_model(resaved, load_model(saved))
             assert resaved.read_bytes() == saved.read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_hostile_epoch_header(fitted_models, data):
+    """A P300 epoch file with one header value replaced at any depth is
+    fitted and evaluated (0) or refused (3 data, 4 numeric), never crashes."""
+    model, epochs = fitted_models[1]
+    with tempfile.TemporaryDirectory() as tmp:
+        bad = _rewritten_header(Path(tmp), epochs, lambda doc: _replace_one_value(doc, data))
+        assert run(["fit", "--modality", "p300", "--in", str(bad),
+                    "--out", str(Path(tmp) / "m.json")]) in (0, 3, 4)
+        assert run(["eval", "--model", str(model), "--in", str(bad),
+                    "--report", str(Path(tmp) / "r.csv")]) in (0, 3, 4)

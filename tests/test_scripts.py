@@ -1,0 +1,30 @@
+"""Each script in ``scripts/`` runs in-process to completion at its smallest
+size, so a change to the package API cannot break one unseen."""
+
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+# script -> (smallest-size arguments, text its report prints)
+SMALLEST = {
+    "calibrate_p300_snr.py": (["--seeds", "1"], "mean AUC"),
+    "adaptation_experiment.py": (["--sessions", "1"], "adaptive NRD slope"),
+    "ssvep_duration_curve.py": (["--seeds", "1"], "duration"),
+}
+
+
+@pytest.mark.parametrize("script", sorted(SMALLEST))
+def test_script_runs(monkeypatch, capsys, script):
+    argv, printed = SMALLEST[script]
+    path = SCRIPTS / script
+    monkeypatch.setattr(sys, "argv", [str(path), *argv])
+    runpy.run_path(str(path), run_name="__main__")
+    assert printed in capsys.readouterr().out
+
+
+def test_every_script_is_covered():
+    assert sorted(p.name for p in SCRIPTS.glob("*.py")) == sorted(SMALLEST)

@@ -9,6 +9,7 @@ from riemann_bci.errors import (
     ContractError,
     MeanConvergenceError,
     NotPositiveDefiniteError,
+    NumericError,
 )
 from riemann_bci.features import P300, build_recipe, featurize
 from riemann_bci.preprocessing import demean
@@ -207,6 +208,25 @@ class TestGeodesic:
         d = riemann_distance(a, b)
         assert riemann_distance(a, mid) == pytest.approx(d / 2, rel=1e-8)
         assert riemann_distance(mid, b) == pytest.approx(d / 2, rel=1e-8)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda a, b: riemann_distance(a, b),
+        lambda a, b: geodesic(a, b, 0.5),
+        lambda a, b: karcher_residual(a, [b]),
+    ],
+    ids=["riemann_distance", "geodesic", "karcher_residual"],
+)
+def test_overflowing_whitening_is_numeric_error(call):
+    """Whitening diag(1e300) by diag(1e-300)^-1/2 overflows, and the
+    eigensolver returns NaN; the positivity test must reject NaN."""
+    a = SpdMatrix(np.diag([1e-300, 1e-300]))
+    b = SpdMatrix(np.diag([1e300, 1e300]))
+    with pytest.raises(NumericError):
+        call(a, b)
 
 
 class TestGeometricMean:
