@@ -218,8 +218,10 @@ def cmd_simulate(args) -> int:
         subject=subject,
         ramp=args.ramp,
     )
-    generic = synthetic_generic_model(config)
-    training = synthetic_training_run(config)
+    # Each builder draws from its own fixed-seed generator, so building only
+    # what the mode uses changes no output.
+    generic = synthetic_generic_model(config) if args.mode != NON_ADAPTIVE else None
+    training = synthetic_training_run(config) if args.mode != ADAPTIVE else None
     if args.mode == NON_ADAPTIVE:
         recipe = build_recipe(P300, training=training, shrinkage=config.shrinkage)
         trained = mdm_mod.fit(training, recipe)

@@ -3,8 +3,8 @@
 Epoch file layout (bit-exact across platforms):
     line 1   UTF-8 JSON header terminated by a newline, with keys
              version, n_trials, n_channels, n_samples, fs_hz,
-             channel_names, labels (one int per trial, -1 = unlabeled)
-             and modality;
+             channel_names (a list of strings), labels (one int per
+             trial, -1 = unlabeled) and modality (a string);
     rest     raw payload of n_trials * n_channels * n_samples IEEE
              float32 values, little endian, trial-major then
              channel-major (C order).
@@ -114,6 +114,18 @@ def _ints(v, least: int | None = None) -> tuple[int, ...]:
     return tuple(_integer(z, least) for z in v)
 
 
+def _string(v) -> str:
+    if type(v) is not str:
+        raise ValueError(f"expected a string, got {v!r}")
+    return v
+
+
+def _strings(v) -> tuple[str, ...]:
+    if type(v) is not list:
+        raise ValueError(f"expected a list of strings, got {v!r}")
+    return tuple(_string(z) for z in v)
+
+
 def _version(v) -> int:
     if _integer(v) != FILE_VERSION:
         raise ValueError(f"expected version {FILE_VERSION}, got {v!r}")
@@ -131,14 +143,14 @@ def read_epochs(path) -> list[Epoch]:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FileFormatError(f"unparseable header: {exc}") from exc
     _field(header, "version", "header", _version)
-    _field(header, "modality", "header")
+    _field(header, "modality", "header", _string)
     n_trials, n, t = (
         _field(header, key, "header", lambda v: _integer(v, 0))
         for key in ("n_trials", "n_channels", "n_samples")
     )
     fs = _field(header, "fs_hz", "header", float)
     labels = _field(header, "labels", "header", _ints)
-    channels = _field(header, "channel_names", "header", tuple)
+    channels = _field(header, "channel_names", "header", _strings)
     if len(labels) != n_trials:
         raise FileFormatError(
             f"field 'labels' has {len(labels)} entries for n_trials={n_trials}"

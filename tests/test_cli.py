@@ -3,6 +3,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -306,6 +307,19 @@ def _infinite_fs_header(tmp_path, model, data):
     return _fit(tmp_path, bad), "sampling rate must"
 
 
+def _non_string_channel_names(tmp_path, model, data):
+    def mutate(doc):
+        doc["channel_names"][:3] = [None, 1, {}]
+
+    bad = _rewritten_header(tmp_path, data, mutate)
+    return _fit(tmp_path, bad), "'channel_names'"
+
+
+def _object_modality(tmp_path, model, data):
+    bad = _rewritten_header(tmp_path, data, lambda doc: doc.update(modality={"k": [1]}))
+    return _fit(tmp_path, bad), "'modality'"
+
+
 def _future_epoch_version(tmp_path, model, data):
     bad = _rewritten_header(tmp_path, data, lambda doc: doc.update(version=99))
     return _fit(tmp_path, bad), "'version'"
@@ -337,9 +351,10 @@ def _zero_decimation_rate(tmp_path, model, data):
     "case",
     [_missing_freqs, _non_utf8_model, _string_class_ids, _negative_counts,
      _fractional_order, _fractional_class_ids, _missing_model,
-     _missing_input, _number_header, _infinite_fs_header, _future_epoch_version,
-     _future_model_version, _report_in_missing_dir, _zero_mean_iterations,
-     _negative_mean_tol, _zero_decimation_rate],
+     _missing_input, _number_header, _infinite_fs_header, _non_string_channel_names,
+     _object_modality, _future_epoch_version, _future_model_version,
+     _report_in_missing_dir, _zero_mean_iterations, _negative_mean_tol,
+     _zero_decimation_rate],
     ids=lambda case: case.__name__.lstrip("_"),
 )
 def test_bad_input_is_data_error(tmp_path, capsys, case):
@@ -449,3 +464,41 @@ def test_hostile_epoch_header(fitted_models, data):
                     "--out", str(Path(tmp) / "m.json")]) in (0, 3, 4)
         assert run(["eval", "--model", str(model), "--in", str(bad),
                     "--report", str(Path(tmp) / "r.csv")]) in (0, 3, 4)
+
+
+# Non-finite, near the float32 maximum, near its smallest normal, and zero.
+HOSTILE_FLOATS = st.sampled_from([np.nan, np.inf, -np.inf, 3e38, 1e-38, 0.0])
+
+
+def _rewritten_payload(payload, data):
+    """``payload`` with one float32 value or all of them replaced, every value
+    scaled by 1e30, or cut short, as drawn from ``data``."""
+    x = np.frombuffer(payload, dtype="<f4").copy()
+    kind = data.draw(st.sampled_from(["one", "all", "scale", "truncate"]))
+    if kind == "truncate":
+        return payload[: data.draw(st.integers(0, len(payload) - 1))]
+    if kind == "scale":
+        x *= np.float32(1e30)
+    elif kind == "all":
+        x[:] = data.draw(HOSTILE_FLOATS)
+    else:
+        x[data.draw(st.integers(0, x.size - 1))] = data.draw(HOSTILE_FLOATS)
+    return x.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_hostile_epoch_payload(fitted_models, data):
+    """A P300 epoch file whose payload has one or every value set to NaN,
+    +-inf, a huge, tiny or zero value, is scaled by 1e30 or is cut short is
+    fitted, with and without a band-pass, and evaluated (0) or refused
+    (3 data, 4 numeric), never crashes."""
+    model, epochs = fitted_models[1]
+    header, payload = epochs.read_bytes().split(b"\n", 1)
+    with tempfile.TemporaryDirectory() as tmp:
+        bad, out, report = (str(Path(tmp) / name) for name in ("bad.dat", "m.json", "r.csv"))
+        Path(bad).write_bytes(header + b"\n" + _rewritten_payload(payload, data))
+        fit = ["fit", "--modality", "p300", "--in", bad, "--out", out]
+        for argv in (fit, fit + ["--band", "1", "16"],
+                     ["eval", "--model", str(model), "--in", bad, "--report", report]):
+            assert run(argv) in (0, 3, 4)

@@ -126,26 +126,42 @@ def fresh_bandpass(x, fs, low, high, order):
 class TestBandpassDesignCache:
     @pytest.mark.parametrize(
         "order, low, high, fs",
-        [(1, 1.0, 16.0, 128.0), (4, 8.0, 30.0, 128.0), (4, 8.0, 30.0, 512.0),
-         (5, 14.0, 16.0, 128.0), (5, 19.0, 21.0, 250.0), (2, 0.5, 40.0, 100.0)],
+        [(1, 1.0, 16.0, 128.0), (3, 1.0, 16.0, 128.0), (4, 8.0, 30.0, 128.0),
+         (4, 8.0, 30.0, 512.0), (5, 14.0, 16.0, 128.0), (5, 19.0, 21.0, 250.0),
+         (2, 0.5, 40.0, 100.0), (MAX_BAND_ORDER, 8.0, 30.0, 128.0)],
     )
     def test_matches_fresh_design(self, rng, order, low, high, fs):
-        # The short lengths clip padlen to n_samples - 1.
-        for n_samples in (3, 8, 19, 128, 768):
+        # The short lengths clip padlen to n_samples - 1 (1 at two samples).
+        for n_samples in (2, 3, 8, 19, 128, 768):
             x = rng.standard_normal((3, n_samples))
             expected = fresh_bandpass(x, fs, low, high, order)
             for _ in range(2):
                 out = bandpass(Epoch(x, fs=fs), BandSpec(low, high, order))
                 np.testing.assert_array_equal(out.data, expected)
 
+    @given(
+        order=st.integers(1, MAX_BAND_ORDER),
+        band=st.sampled_from([(1.0, 16.0), (8.0, 30.0), (14.0, 16.0), (0.5, 40.0)]),
+        fs=st.sampled_from([100.0, 128.0, 250.0, 512.0]),
+        n_samples=st.integers(2, 400),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_sosfiltfilt(self, order, band, fs, n_samples, seed):
+        x = np.random.default_rng(seed).standard_normal((2, n_samples))
+        expected = fresh_bandpass(x, fs, *band, order)
+        out = bandpass(Epoch(x, fs=fs), BandSpec(*band, order))
+        np.testing.assert_array_equal(out.data, expected)
+
     def test_cached_design_not_mutated(self, rng):
         spec = BandSpec(11.0, 13.0, order=5)
         for n_samples in (16, 200, 768) * 20:
             bandpass(Epoch(rng.standard_normal((2, n_samples)), fs=128.0), spec)
-        cached = preprocessing._butter_sos(5, 11.0, 13.0, 128.0)
+        sos, zi = preprocessing._butter_sos(5, 11.0, 13.0, 128.0)
         fresh = signal.butter(5, [11.0, 13.0], btype="bandpass", fs=128.0, output="sos")
-        np.testing.assert_array_equal(cached, fresh)
-        assert not cached.flags.writeable
+        np.testing.assert_array_equal(sos, fresh)
+        np.testing.assert_array_equal(zi, signal.sosfilt_zi(fresh))
+        assert not sos.flags.writeable and not zi.flags.writeable
 
     def test_sampling_rate_is_part_of_the_key(self, rng):
         x = rng.standard_normal((2, 400))
@@ -154,25 +170,42 @@ class TestBandpassDesignCache:
         at_256 = bandpass(Epoch(x, fs=256.0), spec)
         expected = fresh_bandpass(x, 256.0, 8.0, 30.0, DEFAULT_BAND_ORDER)
         np.testing.assert_array_equal(at_256.data, expected)
-        assert not np.array_equal(
-            preprocessing._butter_sos(DEFAULT_BAND_ORDER, 8.0, 30.0, 128.0),
-            preprocessing._butter_sos(DEFAULT_BAND_ORDER, 8.0, 30.0, 256.0),
-        )
+        sos_128, zi_128 = preprocessing._butter_sos(DEFAULT_BAND_ORDER, 8.0, 30.0, 128.0)
+        sos_256, zi_256 = preprocessing._butter_sos(DEFAULT_BAND_ORDER, 8.0, 30.0, 256.0)
+        assert not np.array_equal(sos_128, sos_256)
+        assert not np.array_equal(zi_128, zi_256)
+        np.testing.assert_array_equal(zi_256, signal.sosfilt_zi(sos_256))
 
     def test_one_design_per_band(self, rng, monkeypatch):
-        calls = []
-        real_butter = signal.butter
-
-        def counting_butter(*args, **kwargs):
-            calls.append(args)
-            return real_butter(*args, **kwargs)
-
-        preprocessing._butter_sos.cache_clear()
-        monkeypatch.setattr(signal, "butter", counting_butter)
-        for n_samples in (128, 256, 768, 128, 768):
-            e = Epoch(rng.standard_normal((4, n_samples)), fs=128.0)
-            ssvep_filter_bank(e, [12.0, 15.0, 20.0])
+        calls = count_calls(monkeypatch, "butter")
+        run_filter_banks(rng)
         assert len(calls) == 3
+
+    def test_one_initial_state_per_band(self, rng, monkeypatch):
+        calls = count_calls(monkeypatch, "sosfilt_zi")
+        run_filter_banks(rng)
+        assert len(calls) == 3
+
+
+def count_calls(monkeypatch, name):
+    """Empty the design cache and record every call of ``scipy.signal.<name>``."""
+    calls = []
+    real = getattr(signal, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    preprocessing._butter_sos.cache_clear()
+    monkeypatch.setattr(signal, name, counting)
+    return calls
+
+
+def run_filter_banks(rng):
+    """Five SSVEP filter banks over three bands at mixed epoch lengths."""
+    for n_samples in (128, 256, 768, 128, 768):
+        e = Epoch(rng.standard_normal((4, n_samples)), fs=128.0)
+        ssvep_filter_bank(e, [12.0, 15.0, 20.0])
 
 
 class TestDecimate:
