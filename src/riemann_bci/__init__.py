@@ -31,7 +31,6 @@ from .features import (
 from .mdm import (
     DistanceVector,
     MdmModel,
-    MeanConfig,
     auc,
     cumulative_select,
     distances,
@@ -70,7 +69,6 @@ __all__ = [
     "FileFormatError",
     "FusedClassifier",
     "MdmModel",
-    "MeanConfig",
     "MeanConvergenceError",
     "NotPositiveDefiniteError",
     "NumericError",

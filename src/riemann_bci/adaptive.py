@@ -50,9 +50,9 @@ class FusedClassifier:
 
     generic: MdmModel
     ramp: int = DEFAULT_RAMP
-    n_rep: float = 0.0
-    individual_means: dict[int, SpdMatrix] = field(default_factory=dict)
-    individual_counts: dict[int, int] = field(default_factory=dict)
+    n_rep: float = field(default=0.0, init=False)
+    individual_means: dict[int, SpdMatrix] = field(default_factory=dict, init=False)
+    individual_counts: dict[int, int] = field(default_factory=dict, init=False)
 
     def __post_init__(self):
         if self.ramp < 1:

@@ -32,7 +32,6 @@ from .datasets import (
 )
 from .errors import ContractError, NumericError
 from .features import MI, P300, SSVEP, build_recipe
-from .mdm import MeanConfig
 from .preprocessing import BandSpec, bandpass, decimate, demean
 from .preprocessing import DEFAULT_BAND_ORDER, SSVEP_BAND_ORDER, SSVEP_BAND_WIDTH_HZ
 from .simulator import (
@@ -74,7 +73,6 @@ def _preprocess(epochs, args):
 
 
 def _fit(args, training):
-    cfg = MeanConfig(tol=args.mean_tol, max_iter=args.mean_max_iter)
     recipe = build_recipe(
         args.modality,
         training=training,
@@ -83,7 +81,7 @@ def _fit(args, training):
         width_hz=args.width,
         order=args.order,
     )
-    return mdm_mod.fit(training, recipe, cfg)
+    return mdm_mod.fit(training, recipe, tol=args.mean_tol, max_iter=args.mean_max_iter)
 
 
 def _synth_spec(args) -> SyntheticSpec:

@@ -110,6 +110,13 @@ def _integer(v, least: int | None = None) -> int:
     return v
 
 
+def _number(v) -> float:
+    """``v`` as a float if it is a JSON number (an int or a float, not a boolean)."""
+    if type(v) not in (int, float):
+        raise ValueError(f"expected a number, got {v!r}")
+    return float(v)
+
+
 def _ints(v, least: int | None = None) -> tuple[int, ...]:
     return tuple(_integer(z, least) for z in v)
 
@@ -148,7 +155,7 @@ def read_epochs(path) -> list[Epoch]:
         _field(header, key, "header", lambda v: _integer(v, 0))
         for key in ("n_trials", "n_channels", "n_samples")
     )
-    fs = _field(header, "fs_hz", "header", float)
+    fs = _field(header, "fs_hz", "header", _number)
     labels = _field(header, "labels", "header", _ints)
     channels = _field(header, "channel_names", "header", _strings)
     if len(labels) != n_trials:
@@ -218,10 +225,12 @@ def _recipe_from_doc(doc) -> FeatureRecipe:
     return FeatureRecipe(
         modality=_field(doc, "modality", "recipe"),
         prototypes=_field(doc, "prototypes", "recipe", _prototypes_from_doc),
-        freqs=_field(doc, "freqs", "recipe", lambda v: tuple(float(f) for f in v)),
-        width_hz=_field(doc, "width_hz", "recipe", float),
+        freqs=_field(doc, "freqs", "recipe", lambda v: tuple(_number(f) for f in v)),
+        width_hz=_field(doc, "width_hz", "recipe", _number),
         order=_field(doc, "order", "recipe", lambda v: _integer(v, 1)),
-        shrinkage=_field(doc, "shrinkage", "recipe"),
+        shrinkage=_field(
+            doc, "shrinkage", "recipe", lambda v: v if v == "auto" else _number(v)
+        ),
         n_subjects=_field(doc, "n_subjects", "recipe", lambda v: _integer(v, 1)),
     )
 
@@ -371,10 +380,7 @@ def _colored_noise(rng, n: int, t: int, ar: float, mixing: np.ndarray) -> np.nda
     return mixing @ sources
 
 
-def p300_trial(
-    rng, spec: SyntheticSpec, is_target: bool,
-    mixing: np.ndarray | None = None,
-) -> Epoch:
+def p300_trial(rng, spec: SyntheticSpec, is_target: bool, mixing: np.ndarray) -> Epoch:
     """One synthetic flash epoch.
 
     Every trial carries colored noise plus an ERP-shaped background
@@ -384,8 +390,6 @@ def p300_trial(
     in both classes, which is what makes single-trial detection a graded
     problem instead of a separable one.
     """
-    if mixing is None:
-        mixing = _mixing(spec.n_channels)
     noise = _colored_noise(rng, spec.n_channels, spec.n_samples, P300_AR_COEFF, mixing)
     scale = np.sqrt(np.mean(_p300_response(spec, spec.latency_s) ** 2))
     bg_amp = rng.normal(0.0, P300_BACKGROUND_ERP)

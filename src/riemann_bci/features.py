@@ -120,24 +120,26 @@ def shrink(c: SymmetricMatrix | np.ndarray, gamma: float | str) -> SpdMatrix:
     check; gamma=0 returns C unchanged (C must already be SPD).
     """
     values = c.values if isinstance(c, SymmetricMatrix) else np.asarray(c, float)
-    if gamma == "auto":
-        return _auto_shrinkage(lambda g: shrink(values, g))
-    _validate_shrinkage(gamma)
-    gamma = float(gamma)
-    if gamma == 0.0:
-        return SpdMatrix(values)
+    return _shrunk(lambda g: _blend(values, g), gamma)
+
+
+def _blend(values: np.ndarray, g: float) -> np.ndarray:
+    if g == 0.0:
+        return values
     target = np.trace(values) / values.shape[0]
-    return SpdMatrix(
-        (1.0 - gamma) * values + gamma * target * np.eye(values.shape[0])
-    )
+    return (1.0 - g) * values + g * target * np.eye(values.shape[0])
 
 
-def _auto_shrinkage(build: Callable[[float], SpdMatrix]) -> SpdMatrix:
-    """``build(g)`` for the smallest ladder level g whose result is SPD."""
+def _shrunk(build: Callable[[float], np.ndarray], gamma: float | str) -> SpdMatrix:
+    """``SpdMatrix(build(g))`` at g = gamma, or for ``'auto'`` at the
+    smallest ladder level g whose result passes the SPD check."""
+    if gamma != "auto":
+        _validate_shrinkage(gamma)
+        return SpdMatrix(build(float(gamma)))
     last_error = None
     for g in AUTO_SHRINKAGE_LADDER:
         try:
-            return build(g)
+            return SpdMatrix(build(g))
         except NotPositiveDefiniteError as exc:
             last_error = exc
     raise NotPositiveDefiniteError(
@@ -217,8 +219,9 @@ def ssvep_block_cov(
 ) -> SpdMatrix:
     """Block-diagonal NF x NF covariance over a filter-bank output.
 
-    Diagonal blocks are the per-band sample covariances (shrinkage applied
-    per block); off-diagonal blocks are exactly zero.
+    Diagonal blocks are the per-band sample covariances, each blended
+    toward its own scaled identity at one shared gamma; off-diagonal blocks
+    are exactly zero.  The assembled matrix is checked once.
     """
     if not bank:
         raise ContractError("ssvep feature requires a nonempty filter bank")
@@ -228,21 +231,17 @@ def ssvep_block_cov(
         if b.n_channels != n or b.n_samples != t:
             raise ContractError("filter-bank epochs must share channel/sample counts")
     raw_blocks = [_stacked_cov([b.data]) for b in bank]
-    if shrinkage == "auto":
-        # One ladder level for all bands: the smallest gamma that makes the
-        # assembled matrix positive definite, so weak bands get a floor
-        # commensurate with the global eigenvalue check.
-        return _auto_shrinkage(lambda g: _assemble_block_diag(raw_blocks, g))
-    return _assemble_block_diag(raw_blocks, shrinkage)
 
+    def build(g: float) -> np.ndarray:
+        out = np.zeros((n * len(bank), n * len(bank)))
+        for i, raw in enumerate(raw_blocks):
+            out[i * n : (i + 1) * n, i * n : (i + 1) * n] = _blend(raw, g)
+        return out
 
-def _assemble_block_diag(raw_blocks: list[np.ndarray], gamma) -> SpdMatrix:
-    n = raw_blocks[0].shape[0]
-    f = len(raw_blocks)
-    out = np.zeros((n * f, n * f))
-    for i, raw in enumerate(raw_blocks):
-        out[i * n : (i + 1) * n, i * n : (i + 1) * n] = shrink(raw, gamma).values
-    return SpdMatrix(out)
+    # 'auto' takes one ladder level for all bands: the smallest gamma that
+    # makes the assembled matrix positive definite, so weak bands get a
+    # floor commensurate with the global eigenvalue check.
+    return _shrunk(build, shrinkage)
 
 
 def build_recipe(

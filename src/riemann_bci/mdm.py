@@ -10,6 +10,8 @@ modalities.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 from scipy.stats import rankdata
@@ -18,20 +20,6 @@ from .errors import ContractError, MeanConvergenceError
 from .features import FeatureRecipe, featurize
 from .preprocessing import Epoch
 from .spd import DEFAULT_MEAN_MAX_ITER, SpdMatrix, geometric_mean, riemann_distance
-
-
-@dataclass(frozen=True)
-class MeanConfig:
-    """Geometric-mean solver settings; tol=None means 1e-8 * dim."""
-
-    tol: float | None = None
-    max_iter: int = DEFAULT_MEAN_MAX_ITER
-
-    def __post_init__(self):
-        if self.tol is not None and not (np.isfinite(self.tol) and self.tol > 0):
-            raise ContractError(f"mean tol must be finite and positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise ContractError(f"mean max_iter must be >= 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,9 +78,10 @@ class MdmModel:
 def fit(
     training: list[Epoch],
     recipe: FeatureRecipe,
-    mean_cfg: MeanConfig = MeanConfig(),
+    tol: float | None = None,
+    max_iter: int = DEFAULT_MEAN_MAX_ITER,
 ) -> MdmModel:
-    """Estimate per-class geometric means from labeled training epochs."""
+    """Per-class geometric means of labeled epochs; tol, max_iter go to geometric_mean."""
     by_class: dict[int, list[Epoch]] = {}
     for e in training:
         if e.label is None:
@@ -111,9 +100,7 @@ def fit(
     for z in class_ids:
         feats = [featurize(e, recipe) for e in by_class[z]]
         try:
-            means.append(
-                geometric_mean(feats, tol=mean_cfg.tol, max_iter=mean_cfg.max_iter)
-            )
+            means.append(geometric_mean(feats, tol=tol, max_iter=max_iter))
         except MeanConvergenceError as exc:
             raise MeanConvergenceError(
                 exc.residual, exc.iterations, context=f"class {z}"
@@ -169,28 +156,38 @@ def target_contrast(dv: DistanceVector) -> float:
     return float(dv.values[target] - dv.values[1 - target])
 
 
-def most_target_like(scores: dict[int, float]) -> int:
-    """Item with the lowest cumulated contrast; ties go to the lowest item id."""
-    return min(scores, key=lambda item: (scores[item], item))
+def add_repetition(
+    totals: dict[int, float],
+    repetition: dict,
+    score: Callable[[Epoch], DistanceVector],
+) -> int:
+    """Add each item's target contrast to ``totals`` and pick the lowest total.
+
+    ``repetition`` maps item id -> epoch; the first one (``totals`` empty)
+    fixes the item set, which every later one must cover.  Ties go to the
+    lowest item id.
+    """
+    items = sorted(repetition)
+    if not items:
+        raise ContractError("a repetition must present at least one item")
+    if not totals:
+        totals.update(dict.fromkeys(items, 0.0))
+    elif sorted(totals) != items:
+        raise ContractError("every repetition must cover the same item set")
+    for item in items:
+        totals[item] += target_contrast(score(repetition[item]))
+    return min(totals, key=lambda item: (totals[item], item))
 
 
 def cumulative_select(model: MdmModel, repetitions: list[dict]):
-    """Pick the item whose cumulated target contrast is most target-like.
-
-    Each repetition maps item id -> epoch, covering the same item set.  For
-    every item the per-repetition :func:`target_contrast` is summed over
-    repetitions and :func:`most_target_like` picks the winner.
-    """
+    """The item whose target contrast, summed over repetitions, is lowest."""
     if not repetitions:
         raise ContractError("need at least one repetition")
-    items = sorted(repetitions[0])
-    scores = {item: 0.0 for item in items}
+    totals: dict[int, float] = {}
+    score = partial(distances, model)
     for rep in repetitions:
-        if sorted(rep) != items:
-            raise ContractError("every repetition must cover the same item set")
-        for item in items:
-            scores[item] += target_contrast(distances(model, rep[item]))
-    return most_target_like(scores)
+        selected = add_repetition(totals, rep, score)
+    return selected
 
 
 def auc(scores: list[tuple[float, int]]) -> float:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -26,7 +27,7 @@ from .adaptive import DEFAULT_RAMP, FusedClassifier
 from .datasets import SyntheticSpec, generate_p300, p300_trial, _mixing
 from .errors import ContractError
 from .features import DEFAULT_ERP_SHRINKAGE, P300, build_recipe
-from .mdm import MdmModel, distances, most_target_like, target_contrast
+from .mdm import MdmModel, add_repetition, distances
 from .preprocessing import Epoch, demean
 
 ADAPTIVE = "adaptive"
@@ -91,32 +92,23 @@ def run_level(spec: LevelSpec, clf, mode: str) -> LevelResult:
     if mode == ADAPTIVE and not fused:
         raise ContractError("adaptive mode needs a FusedClassifier")
     class_ids = clf.generic.class_ids if fused else clf.class_ids
-    expected_items = None
+    score = clf.fused_distances if fused else partial(distances, clf)
     cumulative: dict[int, float] = {}
     selections: list[int] = []
     solved = False
     nrd = spec.max_repetitions
     for rep in range(spec.max_repetitions):
         epochs_by_item = spec.epoch_source(rep)
-        if expected_items is None:
-            expected_items = sorted(epochs_by_item)
-            if len(expected_items) != spec.n_items:
-                raise ContractError(
-                    f"source yielded {len(expected_items)} items for a "
-                    f"{spec.n_items}-item level"
-                )
-            cumulative = {item: 0.0 for item in expected_items}
-        elif sorted(epochs_by_item) != expected_items:
-            raise ContractError("every repetition must cover the same item set")
-        for item in expected_items:
-            e = epochs_by_item[item]
-            dv = clf.fused_distances(e) if fused else distances(clf, e)
-            cumulative[item] += target_contrast(dv)
-        selected = most_target_like(cumulative)
+        if len(epochs_by_item) != spec.n_items:
+            raise ContractError(
+                f"source yielded {len(epochs_by_item)} items for a "
+                f"{spec.n_items}-item level"
+            )
+        selected = add_repetition(cumulative, epochs_by_item, score)
         selections.append(selected)
         if mode == ADAPTIVE:
             # supervised update, applied only after the selection was used
-            for item in expected_items:
+            for item in cumulative:
                 label = max(class_ids) if item == spec.target else min(class_ids)
                 clf.absorb(
                     epochs_by_item[item], label, rep_increment=1.0 / spec.n_items

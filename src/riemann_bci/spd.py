@@ -218,8 +218,10 @@ def geometric_mean(
         raise ContractError("geometric mean of an empty set")
     dim = _check_equal_dims(mats)
     tol = DEFAULT_MEAN_TOL_PER_DIM * dim if tol is None else tol
-    if not tol > 0.0:
-        raise ContractError(f"mean tolerance must be positive, got {tol}")
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ContractError(f"tolerance: tol must be finite and positive, got {tol}")
+    if max_iter < 1:
+        raise ContractError(f"mean max_iter must be >= 1, got {max_iter}")
     if k == 1:
         return mats[0]
 

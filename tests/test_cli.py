@@ -343,6 +343,41 @@ def _negative_mean_tol(tmp_path, model, data):
     return _fit(tmp_path, data) + ["--mean-tol", "-1"], "tol must"
 
 
+def _mean_tol_infinite(tmp_path, model, data):
+    return _fit(tmp_path, data) + ["--mean-tol", "inf"], "tol must"
+
+
+def _header_value(key, value, name):
+    """Case: the epoch header's ``key`` set to ``value``."""
+    def case(tmp_path, model, data):
+        bad = _rewritten_header(tmp_path, data, lambda doc: doc.update({key: value}))
+        return _fit(tmp_path, bad), f"'{key}'"
+
+    case.__name__ = name
+    return case
+
+
+def _recipe_value(key, value, name):
+    """Case: the model recipe's ``key`` set to ``value``."""
+    def case(tmp_path, model, data):
+        bad = _rewritten_model(tmp_path, model, lambda doc: doc["recipe"].update({key: value}))
+        return _eval(tmp_path, bad, data), f"'{key}'"
+
+    case.__name__ = name
+    return case
+
+
+# JSON numbers are decoded strictly: a string or a boolean is not a number.
+_NOT_NUMBERS = [
+    _header_value("fs_hz", "128", "string_fs"),
+    _header_value("fs_hz", True, "boolean_fs"),
+    _recipe_value("width_hz", True, "boolean_width"),
+    _recipe_value("width_hz", "2", "string_width"),
+    _recipe_value("freqs", ["10", 15], "string_freq"),
+    _recipe_value("shrinkage", True, "boolean_shrinkage"),
+]
+
+
 def _zero_decimation_rate(tmp_path, model, data):
     return _fit(tmp_path, data) + ["--decimate-to", "0"], "target rate must"
 
@@ -354,7 +389,7 @@ def _zero_decimation_rate(tmp_path, model, data):
      _missing_input, _number_header, _infinite_fs_header, _non_string_channel_names,
      _object_modality, _future_epoch_version, _future_model_version,
      _report_in_missing_dir, _zero_mean_iterations, _negative_mean_tol,
-     _zero_decimation_rate],
+     _mean_tol_infinite, _zero_decimation_rate] + _NOT_NUMBERS,
     ids=lambda case: case.__name__.lstrip("_"),
 )
 def test_bad_input_is_data_error(tmp_path, capsys, case):
@@ -396,9 +431,10 @@ def test_bad_synthetic_geometry_is_data_error(tmp_path, capsys, argv, field):
 
 
 # One of each kind of hostile JSON value: negative, float, huge, string,
-# null, list and object (10**400 overflows a float).
+# numeric string, boolean, null, list and object (10**400 overflows a float).
 HOSTILE_VALUES = st.sampled_from(
-    [-1, -5, 0.5, 2.7, 1e308, 10**30, 10**400, "", "x", None, [], [1, "a"], {}, {"k": 1}]
+    [-1, -5, 0.5, 2.7, 1e308, 10**30, 10**400, "", "x", "12", True, None, [], [1, "a"],
+     {}, {"k": 1}]
 )
 
 

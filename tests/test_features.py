@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from riemann_bci.errors import ContractError, NotPositiveDefiniteError
 from riemann_bci.features import (
+    AUTO_SHRINKAGE_LADDER,
     ERP_MULTI,
     MI,
     MU_P300,
@@ -274,6 +275,53 @@ class TestP300SuperCov:
         np.testing.assert_array_equal(a.values, b.values)
 
 
+@st.composite
+def filter_banks(draw):
+    """1-4 bands of one shape: full-rank, rank-deficient or all-zero, each
+    scaled by a factor in 1e-8..1e8."""
+    n = draw(st.integers(2, 4))
+    t = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bank = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("full", "rank_deficient", "zero")))
+        scale = 10.0 ** draw(st.floats(-8.0, 8.0))
+        if kind == "zero":
+            data = np.zeros((n, t))
+        elif kind == "full":
+            data = scale * rng.standard_normal((n, t))
+        else:
+            r = draw(st.integers(1, n - 1))
+            data = scale * rng.standard_normal((n, r)) @ rng.standard_normal((r, t))
+        bank.append(Epoch(data, fs=128.0))
+    return bank
+
+
+def per_band_block_cov(bank, shrinkage) -> np.ndarray:
+    """Block-diagonal feature built band by band, each blended band checked
+    as an SPD matrix before the assembled matrix is checked."""
+    n = bank[0].n_channels
+    raw = [_stacked_cov([b.data]) for b in bank]
+
+    def assemble(g):
+        out = np.zeros((n * len(raw), n * len(raw)))
+        for i, c in enumerate(raw):
+            if g != 0.0:
+                target = np.trace(c) / n
+                c = (1.0 - g) * c + g * target * np.eye(n)
+            out[i * n : (i + 1) * n, i * n : (i + 1) * n] = SpdMatrix(c).values
+        return SpdMatrix(out).values
+
+    if shrinkage != "auto":
+        return assemble(shrinkage)
+    for g in AUTO_SHRINKAGE_LADDER:
+        try:
+            return assemble(g)
+        except NotPositiveDefiniteError:
+            pass
+    raise NotPositiveDefiniteError("no ladder level passed")
+
+
 class TestSsvepBlockCov:
     def test_dims_and_zero_off_diagonal(self, rng):
         bank = [Epoch(rng.standard_normal((6, 128)), fs=512.0) for _ in range(3)]
@@ -310,6 +358,20 @@ class TestSsvepBlockCov:
         ]
         with pytest.raises(ContractError):
             ssvep_block_cov(bank)
+
+    @settings(max_examples=300, deadline=None)
+    @given(bank=filter_banks(), shrinkage=st.sampled_from((0.0, 1e-8, 1e-2, 1.0, "auto")))
+    def test_one_check_matches_per_band_checks(self, bank, shrinkage):
+        """Checking only the assembled matrix keeps every output and every
+        refusal of checking each blended band first: a band that fails its
+        own check fails the assembled one too."""
+        try:
+            expected = per_band_block_cov(bank, shrinkage)
+        except NotPositiveDefiniteError:
+            with pytest.raises(NotPositiveDefiniteError):
+                ssvep_block_cov(bank, shrinkage)
+            return
+        np.testing.assert_array_equal(ssvep_block_cov(bank, shrinkage).values, expected)
 
 
 class TestMuP300SuperCov:

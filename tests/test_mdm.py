@@ -280,6 +280,11 @@ class TestCumulativeSelect:
         with pytest.raises(ContractError):
             mdm.cumulative_select(model, [rep1, rep2])
 
+    def test_empty_repetition_rejected(self, rng):
+        model = self._p300ish_model(rng)
+        with pytest.raises(ContractError, match="at least one item"):
+            mdm.cumulative_select(model, [{}])
+
     def test_incremental_equals_batch(self, rng):
         model = self._p300ish_model(rng)
         reps = [{i: mi_epochs(rng) for i in range(4)} for _ in range(3)]
