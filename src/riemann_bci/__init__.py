@@ -49,7 +49,6 @@ from .preprocessing import (
 )
 from .spd import (
     SpdMatrix,
-    SymmetricMatrix,
     geodesic,
     geometric_mean,
     karcher_residual,
@@ -74,7 +73,6 @@ __all__ = [
     "NumericError",
     "Prototype",
     "SpdMatrix",
-    "SymmetricMatrix",
     "auc",
     "bandpass",
     "build_prototypes",

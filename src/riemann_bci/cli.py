@@ -166,7 +166,13 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ContractError(f"seed must be >= 0, got {seed}")
+
+
 def cmd_crossval(args) -> int:
+    _check_seed(args.seed)
     epochs = _preprocess(read_epochs(args.input), args)
     labeled = [e for e in epochs if e.label is not None]
     if args.k < 2:
@@ -203,6 +209,7 @@ def cmd_crossval(args) -> int:
 def cmd_simulate(args) -> int:
     if args.sessions < 1:
         raise ContractError(f"sessions must be >= 1, got {args.sessions}")
+    _check_seed(args.seed)
     subject = SyntheticSpec(
         n_channels=args.channels,
         n_samples=args.samples,

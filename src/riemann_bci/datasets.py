@@ -117,6 +117,13 @@ def _number(v) -> float:
     return float(v)
 
 
+def _matrix(v) -> np.ndarray:
+    """``v`` as a float64 array if it is a list of equal-length lists of JSON numbers."""
+    if type(v) is not list or any(type(r) is not list or len(r) != len(v[0]) for r in v):
+        raise ValueError("expected a list of equal-length lists of numbers")
+    return np.array([[_number(z) for z in r] for r in v], dtype=np.float64)
+
+
 def _ints(v, least: int | None = None) -> tuple[int, ...]:
     return tuple(_integer(z, least) for z in v)
 
@@ -213,7 +220,7 @@ def _recipe_to_doc(recipe: FeatureRecipe) -> dict:
 def _prototypes_from_doc(docs) -> tuple[Prototype, ...]:
     return tuple(
         Prototype(
-            data=np.asarray(p["data"], dtype=np.float64),
+            data=_matrix(p["data"]),
             class_id=_integer(p["class_id"]),
             n_epochs=_integer(p["n_epochs"], 1),
         )
@@ -263,7 +270,7 @@ def load_model(path):
         class_ids=_field(doc, "class_ids", where, _ints),
         means=_field(
             doc, "means", where,
-            lambda v: tuple(SpdMatrix(np.asarray(m, dtype=np.float64)) for m in v),
+            lambda v: tuple(SpdMatrix(_matrix(m)) for m in v),
         ),
         recipe=_field(doc, "recipe", where, _recipe_from_doc),
         counts=_field(doc, "counts", where, lambda v: _ints(v, 1)),
@@ -308,6 +315,8 @@ class SyntheticSpec:
             raise ContractError(f"snr must be finite and >= 0, got {self.snr}")
         if self.trials_per_class < 1:
             raise ContractError("trials_per_class must be >= 1")
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
         if any(not f > 0 for f in self.freqs):
             raise ContractError(f"freqs must be positive, got {self.freqs}")
 

@@ -32,7 +32,7 @@ from .preprocessing import (
     SSVEP_BAND_WIDTH_HZ,
     ssvep_filter_bank,
 )
-from .spd import SpdMatrix, SymmetricMatrix
+from .spd import SpdMatrix
 
 MI = "mi"
 ERP_MULTI = "erp_multi"
@@ -112,14 +112,14 @@ def _validate_shrinkage(gamma) -> None:
         raise ContractError(f"shrinkage must be in [0, 1] or 'auto', got {gamma!r}")
 
 
-def shrink(c: SymmetricMatrix | np.ndarray, gamma: float | str) -> SpdMatrix:
+def shrink(c: SpdMatrix | np.ndarray, gamma: float | str) -> SpdMatrix:
     """Blend toward the scaled identity: (1 - g) C + g (trace(C)/dim) I.
 
     ``gamma='auto'`` picks the smallest value from the ladder
     (1e-8, 1e-6, 1e-4, 1e-2, 1e-1) that yields a matrix passing the SPD
     check; gamma=0 returns C unchanged (C must already be SPD).
     """
-    values = c.values if isinstance(c, SymmetricMatrix) else np.asarray(c, float)
+    values = c.values if isinstance(c, SpdMatrix) else np.asarray(c, float)
     return _shrunk(lambda g: _blend(values, g), gamma)
 
 

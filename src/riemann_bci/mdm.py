@@ -63,8 +63,10 @@ class MdmModel:
             self.class_ids
         ):
             raise ContractError("class_ids, means and counts must align")
-        if list(self.class_ids) != sorted(self.class_ids):
-            raise ContractError("class ids must be sorted ascending")
+        if any(a >= b for a, b in zip(self.class_ids, self.class_ids[1:])):
+            raise ContractError(
+                f"class ids must be strictly ascending, got {list(self.class_ids)}"
+            )
         dim = self.means[0].dim
         for m in self.means:
             if m.dim != dim:

@@ -33,7 +33,6 @@ from .preprocessing import Epoch, demean
 ADAPTIVE = "adaptive"
 NON_ADAPTIVE = "non-adaptive"
 
-DEFAULT_N_ITEMS = 36
 DEFAULT_MAX_REPETITIONS = 8
 
 
@@ -47,7 +46,7 @@ class LevelSpec:
 
     target: int
     epoch_source: Callable[[int], dict[int, Epoch]]
-    n_items: int = DEFAULT_N_ITEMS
+    n_items: int
     max_repetitions: int = DEFAULT_MAX_REPETITIONS
 
     def __post_init__(self):

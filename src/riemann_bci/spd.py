@@ -1,9 +1,10 @@
 """Affine-invariant geometry on symmetric positive-definite matrices.
 
-Provides the manifold primitives used everywhere else in the package:
-eigendecomposition, matrix functions of eigenvalues, the affine-invariant
-(geodesic) distance, geodesic interpolation, and the geometric mean by
-Riemannian conjugate gradient.
+Provides the manifold primitives used everywhere else in the package: one
+matrix type, ``SpdMatrix``, that symmetrizes its input and caches its
+eigendecomposition; its inverse and square roots from that decomposition;
+the affine-invariant (geodesic) distance, geodesic interpolation, and the
+geometric mean by Riemannian conjugate gradient.
 
 All public values are immutable after construction and every operation is
 a pure function, so everything here is safe to call concurrently.
@@ -11,7 +12,7 @@ a pure function, so everything here is safe to call concurrently.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,10 +59,15 @@ def _rebuild(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     return _symmetrize((u * w) @ u.T)
 
 
-class SymmetricMatrix:
-    """Dense real symmetric matrix; the input is symmetrized on construction."""
+class SpdMatrix:
+    """Symmetric positive-definite matrix with its eigendecomposition cached.
 
-    __slots__ = ("values",)
+    The input is symmetrized on construction.  The decomposition is computed
+    eagerly (it is needed for the positive-definiteness check anyway), which
+    also keeps instances safely shareable across threads.
+    """
+
+    __slots__ = ("values", "eig", "_sqrt", "_inv_sqrt")
 
     def __init__(self, values) -> None:
         a = np.asarray(values, dtype=np.float64)
@@ -74,28 +80,7 @@ class SymmetricMatrix:
             raise ContractError("matrix entries must be finite")
         sym.flags.writeable = False
         self.values = sym
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(dim={self.dim})"
-
-
-class SpdMatrix(SymmetricMatrix):
-    """Symmetric positive-definite matrix with its eigendecomposition cached.
-
-    The decomposition is computed eagerly at construction (it is needed for
-    the positive-definiteness check anyway), which also keeps instances
-    safely shareable across threads.
-    """
-
-    __slots__ = ("eig", "_sqrt", "_inv_sqrt")
-
-    def __init__(self, values) -> None:
-        super().__init__(values)
-        w, u = _eigh_descending(self.values)
+        w, u = _eigh_descending(sym)
         if w[-1] <= self.dim * w[0] * SPD_EIGENVALUE_RTOL:
             raise NotPositiveDefiniteError(
                 "matrix is not positive definite: eigenvalues in "
@@ -104,6 +89,13 @@ class SpdMatrix(SymmetricMatrix):
         self.eig = Evd(vectors=u, eigenvalues=w)
         self._sqrt = None
         self._inv_sqrt = None
+
+    @property
+    def dim(self) -> int:
+        return self.values.shape[0]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(dim={self.dim})"
 
     def _sqrt_array(self) -> np.ndarray:
         if self._sqrt is None:
@@ -118,34 +110,16 @@ class SpdMatrix(SymmetricMatrix):
         return self._inv_sqrt
 
 
-_SPD_EIGENVALUE_MAPS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "inverse": lambda w: 1.0 / w,
-    "sqrt": np.sqrt,
-    "inv_sqrt": lambda w: 1.0 / np.sqrt(w),
-    "log": np.log,
-}
-
-
-def matrix_fn(c: SymmetricMatrix, fn: str) -> SymmetricMatrix:
-    """Apply a scalar function to the eigenvalues, keeping the eigenvectors.
-
-    ``fn`` is one of ``inverse``, ``sqrt``, ``inv_sqrt``, ``log`` (all of
-    which require a positive-definite input) or ``exp`` (defined for any
-    symmetric matrix, always returns an SPD matrix).
-    """
-    if fn == "exp":
-        w, u = (c.eig.eigenvalues, c.eig.vectors) if isinstance(c, SpdMatrix) \
-            else _eigh_descending(c.values)
-        return SpdMatrix(_rebuild(u, np.exp(w)))
-    try:
-        eigmap = _SPD_EIGENVALUE_MAPS[fn]
-    except KeyError:
-        raise ContractError(f"unknown matrix function {fn!r}") from None
-    spd = c if isinstance(c, SpdMatrix) else SpdMatrix(c.values)
-    u, w = spd.eig.vectors, spd.eig.eigenvalues
-    if fn == "log":
-        return SymmetricMatrix(_rebuild(u, np.log(w)))
-    return SpdMatrix(_rebuild(u, eigmap(w)))
+def matrix_fn(c: SpdMatrix, fn: str) -> SpdMatrix:
+    """``inverse``, ``sqrt`` or ``inv_sqrt`` of an SPD matrix, from its
+    cached eigendecomposition."""
+    if fn == "sqrt":
+        return SpdMatrix(c._sqrt_array())
+    if fn == "inv_sqrt":
+        return SpdMatrix(c._inv_sqrt_array())
+    if fn == "inverse":
+        return SpdMatrix(_rebuild(c.eig.vectors, 1.0 / c.eig.eigenvalues))
+    raise ContractError(f"unknown matrix function {fn!r}")
 
 
 def riemann_distance(c1: SpdMatrix, c2: SpdMatrix) -> float:

@@ -382,6 +382,39 @@ def _zero_decimation_rate(tmp_path, model, data):
     return _fit(tmp_path, data) + ["--decimate-to", "0"], "target rate must"
 
 
+def _string_mean_entry(tmp_path, model, data):
+    def mutate(doc):
+        doc["means"][0][0][0] = str(doc["means"][0][0][0])
+
+    bad = _rewritten_model(tmp_path, model, mutate)
+    return _eval(tmp_path, bad, data), "'means'"
+
+
+def _string_prototype_entry(tmp_path, model, data):
+    p300, p300_model = tmp_path / "p300.dat", tmp_path / "p300.json"
+    assert run(["synth", "--modality", "p300", "--trials", "4", "--samples", "64",
+                "--seed", "0", "--out", str(p300)]) == 0
+    assert run(["fit", "--modality", "p300", "--in", str(p300),
+                "--out", str(p300_model)]) == 0
+
+    def mutate(doc):
+        doc["recipe"]["prototypes"][0]["data"][0][0] = "1"
+
+    bad = _rewritten_model(tmp_path, p300_model, mutate)
+    return _eval(tmp_path, bad, p300), "'prototypes'"
+
+
+def _duplicate_class_ids(tmp_path, model, data):
+    bad = _rewritten_model(tmp_path, model, lambda doc: doc.update(class_ids=[1, 1]))
+    return _eval(tmp_path, bad, data), "class ids must"
+
+
+def _negative_crossval_seed(tmp_path, model, data):
+    argv = ["crossval", "--modality", "mi", "--in", str(data),
+            "--report", str(tmp_path / "r.csv"), "--k", "2", "--seed", "-1"]
+    return argv, "seed must"
+
+
 @pytest.mark.parametrize(
     "case",
     [_missing_freqs, _non_utf8_model, _string_class_ids, _negative_counts,
@@ -389,7 +422,8 @@ def _zero_decimation_rate(tmp_path, model, data):
      _missing_input, _number_header, _infinite_fs_header, _non_string_channel_names,
      _object_modality, _future_epoch_version, _future_model_version,
      _report_in_missing_dir, _zero_mean_iterations, _negative_mean_tol,
-     _mean_tol_infinite, _zero_decimation_rate] + _NOT_NUMBERS,
+     _mean_tol_infinite, _zero_decimation_rate, _string_mean_entry,
+     _string_prototype_entry, _duplicate_class_ids, _negative_crossval_seed] + _NOT_NUMBERS,
     ids=lambda case: case.__name__.lstrip("_"),
 )
 def test_bad_input_is_data_error(tmp_path, capsys, case):
@@ -421,6 +455,8 @@ def test_bad_input_is_data_error(tmp_path, capsys, case):
         (["synth", "--modality", "mi", "--snr", "nan"], "snr"),
         (["simulate", "--sessions", "-1"], "sessions"),
         (["simulate", "--items", "0"], "n_items"),
+        (["synth", "--modality", "p300", "--seed", "-1"], "seed"),
+        (["simulate", "--seed", "-1"], "seed"),
     ],
 )
 def test_bad_synthetic_geometry_is_data_error(tmp_path, capsys, argv, field):

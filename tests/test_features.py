@@ -21,7 +21,7 @@ from riemann_bci.features import (
     _stacked_cov,
 )
 from riemann_bci.preprocessing import Epoch, ssvep_filter_bank
-from riemann_bci.spd import SpdMatrix, SymmetricMatrix
+from riemann_bci.spd import SpdMatrix
 
 from conftest import random_spd
 
@@ -94,7 +94,7 @@ class TestShrink:
 
     def test_rank_one_becomes_spd(self, rng):
         x = rng.standard_normal((6, 1))
-        out = shrink(SymmetricMatrix(x @ x.T), 1e-4)
+        out = shrink(x @ x.T, 1e-4)
         assert isinstance(out, SpdMatrix)
 
     def test_auto_picks_smallest_working_level(self, rng):
@@ -105,19 +105,19 @@ class TestShrink:
 
     def test_auto_on_rank_deficient(self, rng):
         x = rng.standard_normal((8, 3))
-        out = shrink(SymmetricMatrix(x @ x.T), "auto")
+        out = shrink(x @ x.T, "auto")
         assert isinstance(out, SpdMatrix)
 
     def test_zero_matrix_exhausts_ladder(self):
         with pytest.raises(NotPositiveDefiniteError):
-            shrink(SymmetricMatrix(np.zeros((3, 3))), "auto")
+            shrink(np.zeros((3, 3)), "auto")
 
     @given(gamma=st.floats(min_value=1e-6, max_value=1.0))
     @settings(max_examples=25, deadline=None)
     def test_any_gamma_fixes_psd_input(self, gamma):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((5, 2))
-        out = shrink(SymmetricMatrix(x @ x.T), gamma)
+        out = shrink(x @ x.T, gamma)
         assert isinstance(out, SpdMatrix)
 
     def test_invalid_gamma(self, rng):

@@ -15,7 +15,6 @@ from riemann_bci.features import P300, build_recipe, featurize
 from riemann_bci.preprocessing import demean
 from riemann_bci.spd import (
     SpdMatrix,
-    SymmetricMatrix,
     _eigh_descending,
     geodesic,
     geometric_mean,
@@ -39,29 +38,29 @@ class TestEvd:
 
     def test_reconstruction_oracle(self, rng):
         a = rng.standard_normal((8, 8))
-        m = SymmetricMatrix(a + a.T)
-        eigenvalues, vectors = _eigh_descending(m.values)
+        m = a + a.T
+        eigenvalues, vectors = _eigh_descending(m)
         rebuilt = vectors @ np.diag(eigenvalues) @ vectors.T
-        scale = np.linalg.norm(m.values, "fro")
-        assert np.linalg.norm(rebuilt - m.values, "fro") <= 1e-10 * scale
+        scale = np.linalg.norm(m, "fro")
+        assert np.linalg.norm(rebuilt - m, "fro") <= 1e-10 * scale
         assert np.linalg.norm(vectors.T @ vectors - np.eye(8), "fro") <= 1e-10
         assert np.all(np.diff(eigenvalues) <= 0)
 
     def test_symmetrized_on_construction(self, rng):
         a = rng.standard_normal((5, 5))
-        m = SymmetricMatrix(a)
+        m = SpdMatrix(a @ a.T + np.eye(5) + (a - a.T))  # SPD symmetric part
         np.testing.assert_array_equal(m.values, m.values.T)
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ContractError):
-            SymmetricMatrix(np.zeros((2, 3)))
+            SpdMatrix(np.zeros((2, 3)))
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_rejects_nonfinite(self):
         with pytest.raises(ContractError):
-            SymmetricMatrix(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+            SpdMatrix(np.array([[1.0, np.nan], [np.nan, 1.0]]))
         with pytest.raises(ContractError):  # finite, but a + a^T overflows
-            SymmetricMatrix(np.full((2, 2), 1e308))
+            SpdMatrix(np.full((2, 2), 1e308))
 
 
 class TestSpdMatrix:
@@ -86,20 +85,9 @@ class TestSpdMatrix:
 
 
 class TestMatrixFn:
-    def test_log_identity_is_zero(self):
-        out = matrix_fn(SpdMatrix(np.eye(3)), "log")
-        np.testing.assert_allclose(out.values, np.zeros((3, 3)), atol=1e-14)
-
     def test_sqrt_of_diagonal(self):
         out = matrix_fn(SpdMatrix(np.diag([4.0, 9.0])), "sqrt")
         np.testing.assert_allclose(out.values, np.diag([2.0, 3.0]), atol=1e-12)
-
-    def test_exp_log_round_trip(self, rng):
-        for _ in range(10):
-            c = random_spd(rng, 5, cond=1e3)
-            back = matrix_fn(matrix_fn(c, "log"), "exp")
-            scale = np.linalg.norm(c.values, "fro")
-            assert np.linalg.norm(back.values - c.values, "fro") <= 1e-9 * scale
 
     def test_inverse_matches_solve(self, rng):
         c = random_spd(rng, 6)
@@ -112,15 +100,6 @@ class TestMatrixFn:
         np.testing.assert_allclose(
             isq.values @ c.values @ isq.values, np.eye(4), atol=1e-9
         )
-
-    def test_exp_accepts_indefinite_symmetric(self, rng):
-        a = rng.standard_normal((4, 4))
-        out = matrix_fn(SymmetricMatrix(a + a.T), "exp")
-        assert isinstance(out, SpdMatrix)
-
-    def test_log_rejects_indefinite(self):
-        with pytest.raises(NotPositiveDefiniteError):
-            matrix_fn(SymmetricMatrix(np.diag([1.0, -2.0])), "log")
 
     def test_unknown_function(self):
         with pytest.raises(ContractError):
