@@ -63,18 +63,6 @@ class FusedClassifier:
         """Individual-classifier weight min(1, n_rep / ramp)."""
         return min(1.0, self.n_rep / self.ramp)
 
-    @property
-    def individual(self) -> MdmModel | None:
-        """Individual MDM model; None until every class has been observed."""
-        if any(z not in self.individual_means for z in self.generic.class_ids):
-            return None
-        return MdmModel(
-            class_ids=self.generic.class_ids,
-            means=tuple(self.individual_means[z] for z in self.generic.class_ids),
-            recipe=self.generic.recipe,
-            counts=tuple(self.individual_counts[z] for z in self.generic.class_ids),
-        )
-
     def fused_distances(self, e: Epoch) -> DistanceVector:
         """Per-class weighted sum of the two classifiers' distance profiles.
 
@@ -83,30 +71,23 @@ class FusedClassifier:
         scales.  With alpha = 0 the generic profile is returned alone.
         """
         alpha = self.alpha
+        class_ids = self.generic.class_ids
         feat = featurize(e, self.generic.recipe)
-        generic_values = np.array(
-            [riemann_distance(m, feat) for m in self.generic.means]
+        fused = _normalized(
+            np.array([riemann_distance(m, feat) for m in self.generic.means])
         )
         if alpha == 0.0:
-            return DistanceVector(
-                values=_normalized(generic_values), class_ids=self.generic.class_ids
-            )
-        individual = self.individual
-        if individual is None:
+            return DistanceVector(values=fused, class_ids=class_ids)
+        if any(z not in self.individual_means for z in class_ids):
             raise ContractError(
                 "individual classifier has weight > 0 but has not observed "
                 "every class yet"
             )
-        individual_values = np.array(
-            [riemann_distance(m, feat) for m in individual.means]
+        individual = np.array(
+            [riemann_distance(self.individual_means[z], feat) for z in class_ids]
         )
-        fused = (1.0 - alpha) * _normalized(generic_values) + alpha * _normalized(
-            individual_values
-        )
-        return DistanceVector(values=fused, class_ids=self.generic.class_ids)
-
-    def predict(self, e: Epoch) -> int:
-        return self.fused_distances(e).argmin_class()
+        fused = (1.0 - alpha) * fused + alpha * _normalized(individual)
+        return DistanceVector(values=fused, class_ids=class_ids)
 
     def absorb(self, e: Epoch, true_label: int, rep_increment: float = 1.0) -> "FusedClassifier":
         """Fold one supervised epoch into the individual classifier.

@@ -38,7 +38,6 @@ from .simulator import (
     ADAPTIVE,
     NON_ADAPTIVE,
     SyntheticSessionConfig,
-    compare_modes,
     make_level_specs,
     run_session,
     session_rows,
@@ -47,6 +46,8 @@ from .simulator import (
     write_session_csv,
 )
 from .spd import DEFAULT_MEAN_MAX_ITER
+# Unused here, but perfbench/tracer.py wraps the cli.compare_modes binding.
+from .simulator import compare_modes  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -147,6 +148,11 @@ def cmd_eval(args) -> int:
     labeled = [e for e in epochs if e.label is not None]
     if not labeled:
         raise ContractError("unlabeled test set: no epoch carries a label")
+    strays = sorted({e.label for e in labeled} - set(model.class_ids))
+    if strays:
+        raise ContractError(
+            f"labels {strays} are not model class ids {list(model.class_ids)}"
+        )
     predictions, scores = _scores_and_predictions(model, labeled)
     labels = [e.label for e in labeled]
     accuracy = float(np.mean([p == l for p, l in zip(predictions, labels)]))
@@ -223,34 +229,27 @@ def cmd_simulate(args) -> int:
         subject=subject,
         ramp=args.ramp,
     )
+    modes = (ADAPTIVE, NON_ADAPTIVE) if args.mode == "both" else (args.mode,)
     # Each builder draws from its own fixed-seed generator, so building only
-    # what the mode uses changes no output.
-    generic = synthetic_generic_model(config) if args.mode != NON_ADAPTIVE else None
-    training = synthetic_training_run(config) if args.mode != ADAPTIVE else None
-    if args.mode == NON_ADAPTIVE:
+    # what the modes use changes no output.
+    if ADAPTIVE in modes:
+        generic = synthetic_generic_model(config)
+    if NON_ADAPTIVE in modes:
+        training = synthetic_training_run(config)
         recipe = build_recipe(P300, training=training, shrinkage=config.shrinkage)
         trained = mdm_mod.fit(training, recipe)
     rows = []
     capped = 0
     for session in range(args.sessions):
         levels = make_level_specs(config, session_seed=args.seed + session)
-        if args.mode == "both":
-            comparison = compare_modes(
-                levels, generic, training, shrinkage=config.shrinkage, ramp=config.ramp
-            )
-            rows += session_rows(session, comparison.adaptive_results)
-            rows += session_rows(session, comparison.non_adaptive_results)
-            results = list(comparison.adaptive_results) + list(
-                comparison.non_adaptive_results
-            )
-        else:
-            if args.mode == ADAPTIVE:
+        for mode in modes:
+            if mode == ADAPTIVE:
                 clf = FusedClassifier(generic=generic, ramp=config.ramp)
             else:
                 clf = trained
-            results, _ = run_session(levels, clf, args.mode)
+            results, _ = run_session(levels, clf, mode)
             rows += session_rows(session, results)
-        capped += sum(1 for r in results if not r.solved)
+            capped += sum(1 for r in results if not r.solved)
     write_session_csv(args.out, rows)
     print(
         f"simulated {args.sessions} session(s) x {args.levels} levels "

@@ -46,6 +46,11 @@ DEFAULT_P300_SNR = 0.9
 # deviation of the random-sign ERP-shaped background (template units).
 P300_AR_COEFF = 0.95
 P300_BACKGROUND_ERP = 0.5
+# Per-trial jitter of the ERP: standard deviation of its latency in seconds
+# (background and target response alike), and of the target response's
+# log-amplitude.
+P300_LATENCY_JITTER_S = 0.05
+P300_AMP_JITTER = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +292,9 @@ class SyntheticSpec:
 
     ``class_covs`` drives the motor-imagery mode; ``snr`` the P300 and SSVEP
     modes (snr = 0 is the null model: targets are indistinguishable noise).
-    The P300 noise coefficient and background size are the module
-    constants ``P300_AR_COEFF`` and ``P300_BACKGROUND_ERP``.
+    The P300 noise coefficient, background size and response jitter are
+    the module constants ``P300_AR_COEFF``, ``P300_BACKGROUND_ERP``,
+    ``P300_LATENCY_JITTER_S`` and ``P300_AMP_JITTER``.
     """
 
     n_channels: int = 8
@@ -299,8 +305,6 @@ class SyntheticSpec:
     class_covs: tuple[np.ndarray, ...] = ()
     snr: float = DEFAULT_P300_SNR
     latency_s: float = 0.30
-    latency_jitter_s: float = 0.05
-    amp_jitter: float = 0.5
     gain_center: float = 0.60
     freqs: tuple[float, ...] = (12.0, 15.0, 20.0)
 
@@ -402,11 +406,11 @@ def p300_trial(rng, spec: SyntheticSpec, is_target: bool, mixing: np.ndarray) ->
     noise = _colored_noise(rng, spec.n_channels, spec.n_samples, P300_AR_COEFF, mixing)
     scale = np.sqrt(np.mean(_p300_response(spec, spec.latency_s) ** 2))
     bg_amp = rng.normal(0.0, P300_BACKGROUND_ERP)
-    bg_latency = spec.latency_s + rng.normal(0.0, spec.latency_jitter_s)
+    bg_latency = spec.latency_s + rng.normal(0.0, P300_LATENCY_JITTER_S)
     data = noise + bg_amp * _p300_response(spec, bg_latency) / scale
     if is_target:
-        amp = spec.snr * np.exp(rng.normal(0.0, spec.amp_jitter))
-        latency = spec.latency_s + rng.normal(0.0, spec.latency_jitter_s)
+        amp = spec.snr * np.exp(rng.normal(0.0, P300_AMP_JITTER))
+        latency = spec.latency_s + rng.normal(0.0, P300_LATENCY_JITTER_S)
         data = data + amp * _p300_response(spec, latency) / scale
     return Epoch(data, fs=spec.fs, label=1 if is_target else 0)
 

@@ -101,6 +101,8 @@ class FeatureRecipe:
             )
         if self.modality == SSVEP and not self.freqs:
             raise ContractError("ssvep modality requires flicker frequencies")
+        if len(set(self.freqs)) != len(self.freqs):
+            raise ContractError(f"freqs must be distinct, got {list(self.freqs)}")
         if self.modality == MU_P300 and self.n_subjects < 1:
             raise ContractError(f"n_subjects must be >= 1, got {self.n_subjects}")
 

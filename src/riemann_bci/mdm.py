@@ -67,6 +67,14 @@ class MdmModel:
             raise ContractError(
                 f"class ids must be strictly ascending, got {list(self.class_ids)}"
             )
+        strays = sorted(
+            {p.class_id for p in self.recipe.prototypes} - set(self.class_ids)
+        )
+        if strays:
+            raise ContractError(
+                f"recipe prototypes for classes {strays} are not model class ids "
+                f"{list(self.class_ids)}"
+            )
         dim = self.means[0].dim
         for m in self.means:
             if m.dim != dim:

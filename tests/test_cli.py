@@ -219,6 +219,21 @@ class TestSimulate:
         assert run(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_both_is_adaptive_then_non_adaptive(self, tmp_path):
+        def session_rows(mode):
+            out = tmp_path / f"{mode}.csv"
+            assert run(["simulate", "--sessions", "2", "--levels", "3", "--items", "4",
+                        "--mode", mode, "--seed", "0", "--out", str(out)]) == 0
+            with open(out) as fh:
+                rows = list(csv.DictReader(fh))
+            return [[r for r in rows if r["session"] == s] for s in ("0", "1")]
+
+        both = session_rows("both")
+        adaptive = session_rows("adaptive")
+        non_adaptive = session_rows("non-adaptive")
+        for session in range(2):
+            assert both[session] == adaptive[session] + non_adaptive[session]
+
     def test_cap_one_flags_levels(self, tmp_path, capsys):
         out = tmp_path / "capped.csv"
         code = run(["simulate", "--levels", "4", "--items", "8", "--cap", "1",
@@ -409,6 +424,47 @@ def _duplicate_class_ids(tmp_path, model, data):
     return _eval(tmp_path, bad, data), "class ids must"
 
 
+def _fitted(tmp_path, modality):
+    """A small synthetic epoch file of ``modality`` and the model fitted on it."""
+    data, model = tmp_path / f"{modality}.dat", tmp_path / f"{modality}.json"
+    assert run(["synth", "--modality", modality, "--trials", "4", "--samples", "128",
+                "--seed", "0", "--out", str(data)]) == 0
+    freqs = ["--freqs", "12", "15", "20"] if modality == "ssvep" else []
+    assert run(["fit", "--modality", modality, "--in", str(data),
+                "--out", str(model)] + freqs) == 0
+    return data, model
+
+
+def _labels_not_class_ids(tmp_path, model, data):
+    bad = _rewritten_model(tmp_path, model, lambda doc: doc.update(class_ids=[5, 6]))
+    return _eval(tmp_path, bad, data), "class ids"
+
+
+def _stray_prototype_class(tmp_path, model, data):
+    p300, p300_model = _fitted(tmp_path, "p300")
+
+    def mutate(doc):
+        doc["recipe"]["prototypes"][0]["class_id"] = 99
+
+    bad = _rewritten_model(tmp_path, p300_model, mutate)
+    return _eval(tmp_path, bad, p300), "[99]"
+
+
+def _repeated_fit_freqs(tmp_path, model, data):
+    ssvep, _ = _fitted(tmp_path, "ssvep")
+    argv = ["fit", "--modality", "ssvep", "--freqs", "12", "12", "15",
+            "--in", str(ssvep), "--out", str(tmp_path / "m.json")]
+    return argv, "freqs must be distinct"
+
+
+def _repeated_model_freqs(tmp_path, model, data):
+    ssvep, ssvep_model = _fitted(tmp_path, "ssvep")
+    bad = _rewritten_model(
+        tmp_path, ssvep_model, lambda doc: doc["recipe"].update(freqs=[12, 12, 12])
+    )
+    return _eval(tmp_path, bad, ssvep), "freqs must be distinct"
+
+
 def _negative_crossval_seed(tmp_path, model, data):
     argv = ["crossval", "--modality", "mi", "--in", str(data),
             "--report", str(tmp_path / "r.csv"), "--k", "2", "--seed", "-1"]
@@ -423,7 +479,9 @@ def _negative_crossval_seed(tmp_path, model, data):
      _object_modality, _future_epoch_version, _future_model_version,
      _report_in_missing_dir, _zero_mean_iterations, _negative_mean_tol,
      _mean_tol_infinite, _zero_decimation_rate, _string_mean_entry,
-     _string_prototype_entry, _duplicate_class_ids, _negative_crossval_seed] + _NOT_NUMBERS,
+     _string_prototype_entry, _duplicate_class_ids, _negative_crossval_seed,
+     _labels_not_class_ids, _stray_prototype_class, _repeated_fit_freqs,
+     _repeated_model_freqs] + _NOT_NUMBERS,
     ids=lambda case: case.__name__.lstrip("_"),
 )
 def test_bad_input_is_data_error(tmp_path, capsys, case):

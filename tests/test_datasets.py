@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riemann_bci import mdm
+from riemann_bci import datasets, mdm
 from riemann_bci.datasets import (
     SyntheticSpec,
     _colored_noise,
@@ -268,15 +268,15 @@ class TestGenerateP300:
         np.testing.assert_allclose(template.mean(axis=1), 0.0, atol=1e-12)
         assert np.sqrt(np.mean(template**2)) == pytest.approx(1.0)
 
-    def test_high_snr_correlates_with_template(self):
+    def test_high_snr_correlates_with_template(self, monkeypatch):
+        monkeypatch.setattr(datasets, "P300_LATENCY_JITTER_S", 0.0)
+        monkeypatch.setattr(datasets, "P300_AMP_JITTER", 0.0)
         spec = SyntheticSpec(
             n_channels=4,
             n_samples=128,
             trials_per_class=30,
             seed=2,
             snr=500.0,
-            latency_jitter_s=0.0,
-            amp_jitter=0.0,
         )
         epochs, template = generate_p300(spec)
         for e in epochs:
