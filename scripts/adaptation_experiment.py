@@ -12,18 +12,12 @@ import argparse
 
 import numpy as np
 
-from riemann_bci import mdm
-from riemann_bci.adaptive import FusedClassifier
-from riemann_bci.features import P300, build_recipe
 from riemann_bci.simulator import (
     ADAPTIVE,
     NON_ADAPTIVE,
     SyntheticSessionConfig,
-    make_level_specs,
-    run_session,
+    replay_sessions,
     session_rows,
-    synthetic_generic_model,
-    synthetic_training_run,
     write_session_csv,
 )
 
@@ -34,43 +28,32 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--csv", default=None)
     args = parser.parse_args()
+    if args.sessions < 1:
+        parser.error(f"--sessions must be >= 1, got {args.sessions}")
 
     config = SyntheticSessionConfig()
-    generic = synthetic_generic_model(config)
-    training = synthetic_training_run(config)
-    recipe = build_recipe(P300, training=training, shrinkage=config.shrinkage)
-    trained = mdm.fit(training, recipe)
-
+    seeds = range(args.seed, args.seed + args.sessions)
     slopes = []
-    adaptive_by_level = np.zeros(config.n_levels)
-    trained_by_level = np.zeros(config.n_levels)
-    nrd_values = {ADAPTIVE: [], NON_ADAPTIVE: []}
+    nrds = {ADAPTIVE: [], NON_ADAPTIVE: []}  # per mode, one row of level NRDs per session
     rows = []
-    for session in range(args.sessions):
-        levels = make_level_specs(config, session_seed=args.seed + session)
-        fused = FusedClassifier(generic=generic, ramp=config.ramp)
-        adaptive_results, adaptive_summary = run_session(levels, fused, ADAPTIVE)
-        trained_results, trained_summary = run_session(levels, trained, NON_ADAPTIVE)
-        slopes.append(adaptive_summary.nrd_slope)
-        adaptive_by_level += np.array(adaptive_summary.nrds)
-        trained_by_level += np.array(trained_summary.nrds)
-        nrd_values[ADAPTIVE] += list(adaptive_summary.nrds)
-        nrd_values[NON_ADAPTIVE] += list(trained_summary.nrds)
+    for session, mode, results, summary in replay_sessions(
+        config, seeds, (ADAPTIVE, NON_ADAPTIVE)
+    ):
+        if mode == ADAPTIVE:
+            slopes.append(summary.nrd_slope)
+        nrds[mode].append(summary.nrds)
         if args.csv:
-            rows += session_rows(session, adaptive_results)
-            rows += session_rows(session, trained_results)
+            rows += session_rows(session, results)
 
-    adaptive_by_level /= args.sessions
-    trained_by_level /= args.sessions
     print(f"sessions: {args.sessions}, levels: {config.n_levels}")
     print(
         f"adaptive NRD slope: mean {np.mean(slopes):+.4f}, "
         f"negative in {np.mean(np.array(slopes) < 0):.0%} of sessions"
     )
     print("mean NRD per level:")
-    print("  adaptive:", np.round(adaptive_by_level, 2).tolist())
-    print("  trained: ", np.round(trained_by_level, 2).tolist())
-    for mode, values in nrd_values.items():
+    print("  adaptive:", np.round(np.mean(nrds[ADAPTIVE], axis=0), 2).tolist())
+    print("  trained: ", np.round(np.mean(nrds[NON_ADAPTIVE], axis=0), 2).tolist())
+    for mode, values in nrds.items():
         values = np.array(values)
         within3 = np.mean(values <= 3)
         print(f"{mode}: mean NRD {values.mean():.2f}, solved within 3 reps {within3:.1%}")

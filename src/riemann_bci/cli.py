@@ -18,7 +18,6 @@ from dataclasses import replace
 import numpy as np
 
 from . import mdm as mdm_mod
-from .adaptive import DEFAULT_RAMP, FusedClassifier
 from .datasets import (
     SyntheticSpec,
     default_mi_covariances,
@@ -38,11 +37,8 @@ from .simulator import (
     ADAPTIVE,
     NON_ADAPTIVE,
     SyntheticSessionConfig,
-    make_level_specs,
-    run_session,
+    replay_sessions,
     session_rows,
-    synthetic_generic_model,
-    synthetic_training_run,
     write_session_csv,
 )
 from .spd import DEFAULT_MEAN_MAX_ITER
@@ -85,31 +81,26 @@ def _fit(args, training):
     return mdm_mod.fit(training, recipe, tol=args.mean_tol, max_iter=args.mean_max_iter)
 
 
-def _synth_spec(args) -> SyntheticSpec:
-    spec = SyntheticSpec(
+def _subject(args, **fields) -> SyntheticSpec:
+    """The synthetic subject the ``add_subject_flags`` flags describe."""
+    return SyntheticSpec(
         n_channels=args.channels,
         n_samples=args.samples,
         fs=args.fs,
-        trials_per_class=args.trials,
-        seed=args.seed,
         snr=args.snr,
+        **fields,
     )
-    if args.modality == MI:
-        covs = default_mi_covariances(spec.n_channels, args.classes)
-        return replace(spec, class_covs=covs)
-    if args.modality == SSVEP:
-        return replace(spec, freqs=tuple(args.freqs))
-    return spec
 
 
 def cmd_synth(args) -> int:
-    spec = _synth_spec(args)
+    spec = _subject(args, trials_per_class=args.trials, seed=args.seed)
     if args.modality == MI:
-        epochs = generate_mi(spec)
+        covs = default_mi_covariances(spec.n_channels, args.classes)
+        epochs = generate_mi(replace(spec, class_covs=covs))
     elif args.modality == P300:
         epochs, _ = generate_p300(spec)
     else:
-        epochs = generate_ssvep(spec)
+        epochs = generate_ssvep(replace(spec, freqs=tuple(args.freqs)))
     write_epochs(args.out, epochs, modality=args.modality)
     print(
         f"wrote {len(epochs)} trials ({spec.n_channels} ch x {spec.n_samples} "
@@ -216,40 +207,20 @@ def cmd_simulate(args) -> int:
     if args.sessions < 1:
         raise ContractError(f"sessions must be >= 1, got {args.sessions}")
     _check_seed(args.seed)
-    subject = SyntheticSpec(
-        n_channels=args.channels,
-        n_samples=args.samples,
-        fs=args.fs,
-        snr=args.snr,
-    )
     config = SyntheticSessionConfig(
         n_items=args.items,
         n_levels=args.levels,
         max_repetitions=args.cap,
-        subject=subject,
+        subject=_subject(args),
         ramp=args.ramp,
     )
     modes = (ADAPTIVE, NON_ADAPTIVE) if args.mode == "both" else (args.mode,)
-    # Each builder draws from its own fixed-seed generator, so building only
-    # what the modes use changes no output.
-    if ADAPTIVE in modes:
-        generic = synthetic_generic_model(config)
-    if NON_ADAPTIVE in modes:
-        training = synthetic_training_run(config)
-        recipe = build_recipe(P300, training=training, shrinkage=config.shrinkage)
-        trained = mdm_mod.fit(training, recipe)
+    seeds = range(args.seed, args.seed + args.sessions)
     rows = []
     capped = 0
-    for session in range(args.sessions):
-        levels = make_level_specs(config, session_seed=args.seed + session)
-        for mode in modes:
-            if mode == ADAPTIVE:
-                clf = FusedClassifier(generic=generic, ramp=config.ramp)
-            else:
-                clf = trained
-            results, _ = run_session(levels, clf, mode)
-            rows += session_rows(session, results)
-            capped += sum(1 for r in results if not r.solved)
+    for session, _, results, _ in replay_sessions(config, seeds, modes):
+        rows += session_rows(session, results)
+        capped += sum(not r.solved for r in results)
     write_session_csv(args.out, rows)
     print(
         f"simulated {args.sessions} session(s) x {args.levels} levels "
@@ -267,6 +238,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_subject_flags(p, subject):
+        p.add_argument("--channels", type=int, default=subject.n_channels)
+        p.add_argument("--samples", type=int, default=subject.n_samples)
+        p.add_argument("--fs", type=float, default=subject.fs)
+        p.add_argument("--snr", type=float, default=subject.snr)
+
     spec = SyntheticSpec()
     synth = sub.add_parser("synth", help="write a synthetic epoch file")
     synth.add_argument("--modality", choices=(MI, P300, SSVEP), required=True)
@@ -275,10 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--trials", type=int, default=spec.trials_per_class, help="trials per class"
     )
     synth.add_argument("--classes", type=int, default=2, help="MI class count")
-    synth.add_argument("--channels", type=int, default=spec.n_channels)
-    synth.add_argument("--samples", type=int, default=spec.n_samples)
-    synth.add_argument("--fs", type=float, default=spec.fs)
-    synth.add_argument("--snr", type=float, default=spec.snr)
+    add_subject_flags(synth, spec)
     synth.add_argument("--freqs", type=float, nargs="+", default=list(spec.freqs))
     synth.add_argument("--seed", type=int, default=spec.seed)
     synth.set_defaults(func=cmd_synth)
@@ -327,11 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--levels", type=int, default=config.n_levels)
     sim.add_argument("--items", type=int, default=config.n_items)
     sim.add_argument("--cap", type=int, default=config.max_repetitions)
-    sim.add_argument("--ramp", type=int, default=DEFAULT_RAMP)
-    sim.add_argument("--channels", type=int, default=config.subject.n_channels)
-    sim.add_argument("--samples", type=int, default=config.subject.n_samples)
-    sim.add_argument("--fs", type=float, default=config.subject.fs)
-    sim.add_argument("--snr", type=float, default=config.subject.snr)
+    sim.add_argument("--ramp", type=int, default=config.ramp)
+    add_subject_flags(sim, config.subject)
     sim.add_argument("--seed", type=int, default=0)
     sim.set_defaults(func=cmd_simulate)
 

@@ -323,6 +323,8 @@ class SyntheticSpec:
             raise ContractError(f"seed must be >= 0, got {self.seed}")
         if any(not f > 0 for f in self.freqs):
             raise ContractError(f"freqs must be positive, got {self.freqs}")
+        if len(set(self.freqs)) != len(self.freqs):
+            raise ContractError(f"freqs must be distinct, got {list(self.freqs)}")
 
 
 def default_mi_covariances(n_channels: int, n_classes: int) -> tuple[np.ndarray, ...]:

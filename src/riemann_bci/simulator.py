@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -62,11 +62,19 @@ class LevelSpec:
 
 @dataclass(frozen=True)
 class LevelResult:
-    nrd: int
-    solved: bool
+    """One level as played; its NRD and outcome are read from the selections."""
+
     selections: tuple[int, ...]
     mode: str
     target: int
+
+    @property
+    def nrd(self) -> int:
+        return len(self.selections)
+
+    @property
+    def solved(self) -> bool:
+        return self.selections[-1] == self.target
 
 
 @dataclass(frozen=True)
@@ -94,8 +102,6 @@ def run_level(spec: LevelSpec, clf, mode: str) -> LevelResult:
     score = clf.fused_distances if fused else partial(distances, clf)
     cumulative: dict[int, float] = {}
     selections: list[int] = []
-    solved = False
-    nrd = spec.max_repetitions
     for rep in range(spec.max_repetitions):
         epochs_by_item = spec.epoch_source(rep)
         if len(epochs_by_item) != spec.n_items:
@@ -103,8 +109,7 @@ def run_level(spec: LevelSpec, clf, mode: str) -> LevelResult:
                 f"source yielded {len(epochs_by_item)} items for a "
                 f"{spec.n_items}-item level"
             )
-        selected = add_repetition(cumulative, epochs_by_item, score)
-        selections.append(selected)
+        selections.append(add_repetition(cumulative, epochs_by_item, score))
         if mode == ADAPTIVE:
             # supervised update, applied only after the selection was used
             for item in cumulative:
@@ -112,17 +117,9 @@ def run_level(spec: LevelSpec, clf, mode: str) -> LevelResult:
                 clf.absorb(
                     epochs_by_item[item], label, rep_increment=1.0 / spec.n_items
                 )
-        if selected == spec.target:
-            solved = True
-            nrd = rep + 1
+        if selections[-1] == spec.target:
             break
-    return LevelResult(
-        nrd=nrd,
-        solved=solved,
-        selections=tuple(selections),
-        mode=mode,
-        target=spec.target,
-    )
+    return LevelResult(selections=tuple(selections), mode=mode, target=spec.target)
 
 
 def run_session(
@@ -165,18 +162,13 @@ def compare_modes(
     the subject's own training run (prototypes included).  Adaptive starts
     from the generic model with no individual data at all.
     """
-    recipe = build_recipe(P300, training=training, shrinkage=shrinkage)
-    trained = mdm_mod.fit(training, recipe)
-    adaptive_clf = FusedClassifier(generic=generic, ramp=ramp)
-    adaptive_results, adaptive_summary = run_session(levels, adaptive_clf, ADAPTIVE)
-    non_adaptive_results, non_adaptive_summary = run_session(
-        levels, trained, NON_ADAPTIVE
+    trained = calibrated_model(training, shrinkage)
+    adaptive_results, adaptive_summary = run_session(
+        levels, FusedClassifier(generic=generic, ramp=ramp), ADAPTIVE
     )
+    static_results, static_summary = run_session(levels, trained, NON_ADAPTIVE)
     return ModeComparison(
-        adaptive_results=tuple(adaptive_results),
-        adaptive_summary=adaptive_summary,
-        non_adaptive_results=tuple(non_adaptive_results),
-        non_adaptive_summary=non_adaptive_summary,
+        tuple(adaptive_results), adaptive_summary, tuple(static_results), static_summary
     )
 
 
@@ -254,6 +246,13 @@ class SyntheticSessionConfig:
             raise ContractError(f"n_items must be >= 2, got {self.n_items}")
         if self.n_levels < 1:
             raise ContractError(f"n_levels must be >= 1, got {self.n_levels}")
+        if self.ramp < 1:
+            raise ContractError(f"ramp must be >= 1, got {self.ramp}")
+
+
+def calibrated_model(run: list[Epoch], shrinkage: float | str) -> MdmModel:
+    """An MDM model calibrated on one labeled P300 run, prototypes included."""
+    return mdm_mod.fit(run, build_recipe(P300, training=run, shrinkage=shrinkage))
 
 
 def synthetic_generic_model(config: SyntheticSessionConfig) -> MdmModel:
@@ -268,9 +267,7 @@ def synthetic_generic_model(config: SyntheticSessionConfig) -> MdmModel:
         seed=RUN_SEED,
     )
     epochs, _ = generate_p300(spec)
-    train = [demean(e) for e in epochs]
-    recipe = build_recipe(P300, training=train, shrinkage=config.shrinkage)
-    return mdm_mod.fit(train, recipe)
+    return calibrated_model([demean(e) for e in epochs], config.shrinkage)
 
 
 def synthetic_training_run(config: SyntheticSessionConfig) -> list[Epoch]:
@@ -320,3 +317,31 @@ def make_level_specs(
         )
         for level in range(config.n_levels)
     ]
+
+
+def replay_sessions(
+    config: SyntheticSessionConfig, seeds: Iterable[int], modes: tuple[str, ...]
+) -> Iterator[tuple[int, str, list[LevelResult], SessionSummary]]:
+    """The paired protocol of ``simulate`` and the adaptation study: yield
+    ``(session, mode, results, summary)`` for each session seed (``session``
+    is its position in ``seeds``), and within it for each mode in order, all
+    over the same level specs.  Adaptive replays each start a fresh fused
+    classifier; non-adaptive ones share the model calibrated on the
+    subject's training run.
+    """
+    # Each builder draws from its own fixed-seed generator, so building only
+    # what the modes use changes no output; an unknown mode fails in run_level.
+    generic = trained = None
+    if ADAPTIVE in modes:
+        generic = synthetic_generic_model(config)
+    if NON_ADAPTIVE in modes:
+        trained = calibrated_model(synthetic_training_run(config), config.shrinkage)
+    for session, seed in enumerate(seeds):
+        levels = make_level_specs(config, session_seed=seed)
+        for mode in modes:
+            if mode == ADAPTIVE:
+                clf = FusedClassifier(generic=generic, ramp=config.ramp)
+            else:
+                clf = trained
+            results, summary = run_session(levels, clf, mode)
+            yield session, mode, results, summary

@@ -515,6 +515,8 @@ def test_bad_input_is_data_error(tmp_path, capsys, case):
         (["simulate", "--items", "0"], "n_items"),
         (["synth", "--modality", "p300", "--seed", "-1"], "seed"),
         (["simulate", "--seed", "-1"], "seed"),
+        (["synth", "--modality", "ssvep", "--freqs", "12", "12"], "freqs"),
+        (["simulate", "--mode", "non-adaptive", "--ramp", "0"], "ramp"),
     ],
 )
 def test_bad_synthetic_geometry_is_data_error(tmp_path, capsys, argv, field):
@@ -570,6 +572,65 @@ def test_hostile_model_document(fitted_models, data):
     model, epochs = data.draw(st.sampled_from(fitted_models))
     doc = json.loads(model.read_text())
     _replace_one_value(doc, data)
+    with tempfile.TemporaryDirectory() as tmp:
+        bad, saved, resaved = (Path(tmp) / name for name in ("bad.json", "a.json", "b.json"))
+        bad.write_text(json.dumps(doc))
+        code = run(["eval", "--model", str(bad), "--in", str(epochs),
+                    "--report", str(Path(tmp) / "r.csv")])
+        assert code in (0, 3, 4)
+        if code == 0:
+            save_model(saved, load_model(bad))
+            save_model(resaved, load_model(saved))
+            assert resaved.read_bytes() == saved.read_bytes()
+
+
+# The per-class lists of a model document, rewritten together.
+CLASS_FIELDS = ("class_ids", "counts", "means")
+NEW_CLASS_IDS = st.sampled_from([-1, 0, 1, 2, 3, 7, 10**30])
+NEW_FREQS = st.sampled_from([-5.0, 0.0, 7.5, 10.0, 15.0, 31.0, 32.0, 40.0, float("nan")])
+
+
+def _rewrite_classes_together(doc, data):
+    """Drop, duplicate or reverse a class in every per-class list, renumber a
+    class id and the prototypes that name it, or change one SSVEP frequency
+    (keeping the feature dimension), as drawn from ``data``."""
+    kinds = ["drop", "duplicate", "reverse", "renumber"]
+    kind = data.draw(st.sampled_from(kinds + ["freq"] * bool(doc["recipe"]["freqs"])))
+    if kind == "freq":
+        freqs = doc["recipe"]["freqs"]
+        freqs[data.draw(st.integers(0, len(freqs) - 1))] = data.draw(NEW_FREQS)
+        return
+    if kind == "reverse":
+        for key in CLASS_FIELDS:
+            doc[key].reverse()
+        return
+    i = data.draw(st.integers(0, len(doc["class_ids"]) - 1))
+    if kind == "drop":
+        for key in CLASS_FIELDS:
+            del doc[key][i]
+    elif kind == "duplicate":
+        for key in CLASS_FIELDS:
+            doc[key].insert(i, doc[key][i])
+    else:
+        old, new = doc["class_ids"][i], data.draw(NEW_CLASS_IDS)
+        doc["class_ids"][i] = new
+        for prototype in doc["recipe"]["prototypes"]:
+            if prototype["class_id"] == old:
+                prototype["class_id"] = new
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_consistent_model_rewrite(fitted_models, data):
+    """A model document whose tied fields are rewritten together, one to
+    three times, is evaluated (0) or refused (3 data, 4 numeric), never
+    crashes; one that is accepted saves to a document that loads and saves
+    back byte-identically."""
+    model, epochs = data.draw(st.sampled_from(fitted_models))
+    doc = json.loads(model.read_text())
+    for _ in range(data.draw(st.integers(1, 3))):
+        if doc["class_ids"]:
+            _rewrite_classes_together(doc, data)
     with tempfile.TemporaryDirectory() as tmp:
         bad, saved, resaved = (Path(tmp) / name for name in ("bad.json", "a.json", "b.json"))
         bad.write_text(json.dumps(doc))

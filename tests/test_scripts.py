@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from riemann_bci.cli import main
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 # script -> (smallest-size arguments, text its report prints)
@@ -28,3 +30,23 @@ def test_script_runs(monkeypatch, capsys, script):
 
 def test_every_script_is_covered():
     assert sorted(p.name for p in SCRIPTS.glob("*.py")) == sorted(SMALLEST)
+
+
+def test_adaptation_study_replays_the_simulate_protocol(monkeypatch, tmp_path):
+    """The study's CSV is byte-identical to ``simulate --mode both``'s."""
+    study, simulated = tmp_path / "study.csv", tmp_path / "simulate.csv"
+    path = SCRIPTS / "adaptation_experiment.py"
+    monkeypatch.setattr(sys, "argv", [str(path), "--sessions", "1", "--csv", str(study)])
+    runpy.run_path(str(path), run_name="__main__")
+    assert main(["simulate", "--sessions", "1", "--mode", "both",
+                 "--out", str(simulated)]) == 0
+    assert study.read_bytes() == simulated.read_bytes()
+
+
+def test_adaptation_study_refuses_no_sessions(monkeypatch):
+    """Zero sessions is a usage error, not a report of NaN means."""
+    path = SCRIPTS / "adaptation_experiment.py"
+    monkeypatch.setattr(sys, "argv", [str(path), "--sessions", "0"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(path), run_name="__main__")
+    assert exc.value.code == 2

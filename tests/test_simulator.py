@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from riemann_bci import mdm
+from riemann_bci import mdm, simulator
 from riemann_bci.adaptive import FusedClassifier
 from riemann_bci.datasets import SyntheticSpec, generate_mi
 from riemann_bci.errors import ContractError
@@ -17,6 +17,7 @@ from riemann_bci.simulator import (
     SyntheticSessionConfig,
     compare_modes,
     make_level_specs,
+    replay_sessions,
     run_level,
     run_session,
     session_rows,
@@ -197,6 +198,18 @@ class TestCompareModes:
         cmp = compare_modes(levels, generic, training)
         assert len(cmp.adaptive_results) == 4
         assert len(cmp.non_adaptive_results) == 4
+
+    def test_replay_builds_only_what_its_modes_use(self, monkeypatch):
+        def no_generic(config):
+            raise AssertionError("non-adaptive replay built the generic model")
+
+        monkeypatch.setattr(simulator, "synthetic_generic_model", no_generic)
+        config = SyntheticSessionConfig(n_items=3, n_levels=2, max_repetitions=2)
+        replayed = list(replay_sessions(config, [0], (NON_ADAPTIVE,)))
+        assert len(replayed) == 1
+        session, mode, results, summary = replayed[0]
+        assert (session, mode, len(results)) == (0, NON_ADAPTIVE, 2)
+        assert summary.nrds == tuple(r.nrd for r in results)
 
 
 class TestCsvOutput:
