@@ -30,6 +30,8 @@ def main() -> None:
     args = parser.parse_args()
     if args.sessions < 1:
         parser.error(f"--sessions must be >= 1, got {args.sessions}")
+    if args.seed < 0:
+        parser.error(f"--seed must be >= 0, got {args.seed}")
 
     config = SyntheticSessionConfig()
     seeds = range(args.seed, args.seed + args.sessions)

@@ -9,9 +9,11 @@ once enough personal data has been absorbed.  Every session starts this
 way, from the generic model alone: no individual model is carried from
 one session into the next.
 
-Both classifiers share one feature recipe, so their outputs are fused by
-a weighted sum of per-class distances, each vector first normalized by
-its own class sum to make the two scales commensurable.
+Both classifiers share one feature recipe, so an epoch is featurized
+once (:meth:`FusedClassifier.feature`) and that one matrix is both
+scored and absorbed.  The two outputs are fused by a weighted sum of
+per-class distances, each vector first normalized by its own class sum
+to make the two scales commensurable.
 """
 
 from __future__ import annotations
@@ -63,8 +65,14 @@ class FusedClassifier:
         """Individual-classifier weight min(1, n_rep / ramp)."""
         return min(1.0, self.n_rep / self.ramp)
 
-    def fused_distances(self, e: Epoch) -> DistanceVector:
-        """Per-class weighted sum of the two classifiers' distance profiles.
+    def feature(self, e: Epoch) -> SpdMatrix:
+        """The epoch's feature matrix under the shared recipe; the input of
+        :meth:`fused_distances` and :meth:`absorb`, built once per epoch."""
+        return featurize(e, self.generic.recipe)
+
+    def fused_distances(self, feat: SpdMatrix) -> DistanceVector:
+        """Per-class weighted sum of the two classifiers' distance profiles
+        to one feature matrix (see :meth:`feature`).
 
         Each classifier's vector is divided by its own sum across classes
         before mixing, so d = (1-alpha) g + alpha i compares shapes, not
@@ -72,7 +80,6 @@ class FusedClassifier:
         """
         alpha = self.alpha
         class_ids = self.generic.class_ids
-        feat = featurize(e, self.generic.recipe)
         fused = _normalized(
             np.array([riemann_distance(m, feat) for m in self.generic.means])
         )
@@ -89,10 +96,13 @@ class FusedClassifier:
         fused = (1.0 - alpha) * fused + alpha * _normalized(individual)
         return DistanceVector(values=fused, class_ids=class_ids)
 
-    def absorb(self, e: Epoch, true_label: int, rep_increment: float = 1.0) -> "FusedClassifier":
-        """Fold one supervised epoch into the individual classifier.
+    def absorb(
+        self, feat: SpdMatrix, true_label: int, rep_increment: float = 1.0
+    ) -> "FusedClassifier":
+        """Fold one supervised feature matrix (see :meth:`feature`) into the
+        individual classifier.
 
-        The first epoch of a class becomes that class's mean; afterwards
+        The first feature of a class becomes that class's mean; afterwards
         the mean moves along the geodesic toward the new feature matrix by
         1/(count+1), the streaming analogue of the geometric mean of all
         the class's features.  ``n_rep`` advances by ``rep_increment`` so
@@ -103,7 +113,11 @@ class FusedClassifier:
             raise ContractError(
                 f"label {true_label} is not one of {self.generic.class_ids}"
             )
-        feat = featurize(e, self.generic.recipe)
+        if not isinstance(feat, SpdMatrix):
+            raise ContractError(
+                f"absorb takes a feature matrix, got {type(feat).__name__}; "
+                "map an epoch with feature() first"
+            )
         count = self.individual_counts.get(true_label, 0)
         if count == 0:
             self.individual_means[true_label] = feat

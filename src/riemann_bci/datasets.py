@@ -19,6 +19,8 @@ class is a draw from N(0, Sigma_z); P300 targets are a fixed temporal
 template plus AR(1)-colored, spatially mixed noise; SSVEP classes are
 flicker-frequency sinusoids (plus a half-amplitude harmonic) mixed over
 channel gain profiles.  All generators are pure functions of (spec, seed).
+P300 flash epochs are generated as one (trials, channels, samples) stack
+per call of ``p300_trial``, each trial's draws taken in trial order.
 """
 
 from __future__ import annotations
@@ -360,18 +362,24 @@ def generate_mi(spec: SyntheticSpec) -> list[Epoch]:
     return epochs
 
 
-def _p300_response(spec: SyntheticSpec, latency: float) -> np.ndarray:
+def _p300_response(spec: SyntheticSpec, latency) -> np.ndarray:
     """Unnormalized evoked response: a late positive bump over posterior
-    channels preceded by a smaller negative deflection, zero mean per row."""
+    channels preceded by a smaller negative deflection, zero mean per row.
+
+    A scalar ``latency`` gives one (n_channels, n_samples) response, an
+    array of k latencies a (k, n_channels, n_samples) stack.
+    """
     n, t = spec.n_channels, spec.n_samples
     time = np.arange(t) / spec.fs
-    bump = np.exp(-0.5 * ((time - latency) / 0.06) ** 2)
-    dip = -0.4 * np.exp(-0.5 * ((time - (latency - 0.10)) / 0.04) ** 2)
-    course = bump + dip
+    latency = np.asarray(latency)[..., None]
+    # the bump, with the dip added in place
+    course = np.exp(-0.5 * ((time - latency) / 0.06) ** 2)
+    course += -0.4 * np.exp(-0.5 * ((time - (latency - 0.10)) / 0.04) ** 2)
     positions = np.linspace(0.0, 1.0, n)
     gains = np.exp(-0.5 * ((positions - spec.gain_center) / 0.25) ** 2)
-    response = gains[:, None] * course[None, :]
-    return response - response.mean(axis=1, keepdims=True)
+    response = gains[:, None] * course[..., None, :]
+    response -= response.mean(axis=-1, keepdims=True)
+    return response
 
 
 def p300_template(spec: SyntheticSpec) -> np.ndarray:
@@ -387,47 +395,70 @@ def _mixing(n: int) -> np.ndarray:
     return w / np.linalg.norm(w, axis=1, keepdims=True)
 
 
-def _colored_noise(rng, n: int, t: int, ar: float, mixing: np.ndarray) -> np.ndarray:
-    """AR(1)-filtered Gaussian sources mixed across channels, unit variance."""
-    drive = rng.standard_normal((n, t)) * np.sqrt(1.0 - ar**2)
-    drive[:, 0] = rng.standard_normal(n)  # stationary start, drawn after the drive
-    sources = signal.lfilter([1.0], [1.0, -ar], drive, axis=1)
-    return mixing @ sources
+def _colored_noise(drive: np.ndarray, ar: float, mixing: np.ndarray) -> np.ndarray:
+    """AR(1)-filtered Gaussian sources mixed across channels, unit variance.
+
+    ``drive`` is a (..., n, t) stack of standard normal draws whose first
+    column is the stationary start; it is overwritten with the result.
+    """
+    drive[..., 1:] *= np.sqrt(1.0 - ar**2)
+    sources = signal.lfilter([1.0], [1.0, -ar], drive, axis=-1)
+    return np.matmul(mixing, sources, out=drive)
 
 
-def p300_trial(rng, spec: SyntheticSpec, is_target: bool, mixing: np.ndarray) -> Epoch:
-    """One synthetic flash epoch.
+def p300_trial(
+    rng, spec: SyntheticSpec, targets: list[bool], mixing: np.ndarray
+) -> np.ndarray:
+    """Synthetic flash epochs, a (len(targets), n_channels, n_samples) stack.
 
     Every trial carries colored noise plus an ERP-shaped background
-    fluctuation of random sign and size; target trials add the snr-scaled
-    evoked response on top, with per-trial lognormal amplitude and Gaussian
-    latency jitter.  The background keeps the template direction populated
-    in both classes, which is what makes single-trial detection a graded
-    problem instead of a separable one.
+    fluctuation of random sign and size; a trial whose ``targets`` flag is
+    set adds the snr-scaled evoked response on top, with per-trial
+    lognormal amplitude and Gaussian latency jitter.  The background keeps
+    the template direction populated in both classes, which is what makes
+    single-trial detection a graded problem instead of a separable one.
+
+    Each trial takes its draws in turn (noise drive, its start column,
+    background amplitude and latency, then a target's amplitude and
+    latency), so a stack equals its trials generated one call at a time.
     """
-    noise = _colored_noise(rng, spec.n_channels, spec.n_samples, P300_AR_COEFF, mixing)
+    k, n, t = len(targets), spec.n_channels, spec.n_samples
+    data = np.empty((k, n, t))
+    bg_amp, bg_latency, amp, latency = [], [], [], []
+    for i, is_target in enumerate(targets):
+        rng.standard_normal(out=data[i])
+        data[i, :, 0] = rng.standard_normal(n)  # stationary start, drawn after the drive
+        bg_amp.append(rng.normal(0.0, P300_BACKGROUND_ERP))
+        bg_latency.append(spec.latency_s + rng.normal(0.0, P300_LATENCY_JITTER_S))
+        if is_target:
+            amp.append(spec.snr * np.exp(rng.normal(0.0, P300_AMP_JITTER)))
+            latency.append(spec.latency_s + rng.normal(0.0, P300_LATENCY_JITTER_S))
+    _colored_noise(data, P300_AR_COEFF, mixing)
     scale = np.sqrt(np.mean(_p300_response(spec, spec.latency_s) ** 2))
-    bg_amp = rng.normal(0.0, P300_BACKGROUND_ERP)
-    bg_latency = spec.latency_s + rng.normal(0.0, P300_LATENCY_JITTER_S)
-    data = noise + bg_amp * _p300_response(spec, bg_latency) / scale
-    if is_target:
-        amp = spec.snr * np.exp(rng.normal(0.0, P300_AMP_JITTER))
-        latency = spec.latency_s + rng.normal(0.0, P300_LATENCY_JITTER_S)
-        data = data + amp * _p300_response(spec, latency) / scale
-    return Epoch(data, fs=spec.fs, label=1 if is_target else 0)
+    # the background on every trial, then the response on the target trials
+    terms = (
+        (slice(None), bg_amp, bg_latency),
+        (np.asarray(targets, dtype=bool), amp, latency),
+    )
+    for rows, amps, latencies in terms:
+        response = _p300_response(spec, np.array(latencies))
+        response *= np.array(amps)[:, None, None]
+        response /= scale
+        data[rows] += response
+        del response  # freed before the next term's stack is made
+    return data
 
 
 def generate_p300(spec: SyntheticSpec) -> tuple[list[Epoch], np.ndarray]:
     """Target (label 1) and non-target (label 0) epochs plus the template."""
-    template = p300_template(spec)
-    mixing = _mixing(spec.n_channels)
+    k = spec.trials_per_class
+    targets = [True] * k + [False] * k
     rng = np.random.default_rng(spec.seed)
-    epochs = []
-    for _ in range(spec.trials_per_class):
-        epochs.append(p300_trial(rng, spec, True, mixing))
-    for _ in range(spec.trials_per_class):
-        epochs.append(p300_trial(rng, spec, False, mixing))
-    return epochs, template
+    data = p300_trial(rng, spec, targets, _mixing(spec.n_channels))
+    epochs = [
+        Epoch(x, fs=spec.fs, label=int(is_target)) for x, is_target in zip(data, targets)
+    ]
+    return epochs, p300_template(spec)
 
 
 def ssvep_gains(n_channels: int, n_freqs: int) -> np.ndarray:

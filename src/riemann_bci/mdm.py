@@ -169,13 +169,14 @@ def target_contrast(dv: DistanceVector) -> float:
 def add_repetition(
     totals: dict[int, float],
     repetition: dict,
-    score: Callable[[Epoch], DistanceVector],
+    score: Callable[[Epoch], DistanceVector] | Callable[[SpdMatrix], DistanceVector],
 ) -> int:
     """Add each item's target contrast to ``totals`` and pick the lowest total.
 
-    ``repetition`` maps item id -> epoch; the first one (``totals`` empty)
-    fixes the item set, which every later one must cover.  Ties go to the
-    lowest item id.
+    ``repetition`` maps item id -> what ``score`` takes (an epoch, or a
+    feature matrix for a fused classifier); the first one (``totals``
+    empty) fixes the item set, which every later one must cover.  Ties go
+    to the lowest item id.
     """
     items = sorted(repetition)
     if not items:

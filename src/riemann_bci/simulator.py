@@ -10,7 +10,8 @@ to destroy the target).
 
 In adaptive mode the repetition's labeled epochs are absorbed into the
 individual classifier only after its selection has been used, so the
-reported performance is never biased by the data it is tested on.
+reported performance is never biased by the data it is tested on; each
+item epoch is featurized once, for both its score and its absorption.
 """
 
 from __future__ import annotations
@@ -109,14 +110,18 @@ def run_level(spec: LevelSpec, clf, mode: str) -> LevelResult:
                 f"source yielded {len(epochs_by_item)} items for a "
                 f"{spec.n_items}-item level"
             )
-        selections.append(add_repetition(cumulative, epochs_by_item, score))
+        # a fused classifier scores and absorbs one feature per item epoch
+        repetition = (
+            {item: clf.feature(e) for item, e in epochs_by_item.items()}
+            if fused
+            else epochs_by_item
+        )
+        selections.append(add_repetition(cumulative, repetition, score))
         if mode == ADAPTIVE:
             # supervised update, applied only after the selection was used
             for item in cumulative:
                 label = max(class_ids) if item == spec.target else min(class_ids)
-                clf.absorb(
-                    epochs_by_item[item], label, rep_increment=1.0 / spec.n_items
-                )
+                clf.absorb(repetition[item], label, rep_increment=1.0 / spec.n_items)
         if selections[-1] == spec.target:
             break
     return LevelResult(selections=tuple(selections), mode=mode, target=spec.target)
@@ -283,6 +288,8 @@ def make_level_specs(
     """Deterministic level specs: epochs are pure functions of
     (session_seed, level, repetition), so paired mode runs replay
     identical streams."""
+    if session_seed < 0:
+        raise ContractError(f"session_seed must be >= 0, got {session_seed}")
     subject = config.subject
     mixing = _mixing(subject.n_channels)
     level_rng = np.random.default_rng([session_seed, 979])
@@ -293,18 +300,15 @@ def make_level_specs(
     def source_for(level: int) -> Callable[[int], dict[int, Epoch]]:
         def source(rep: int) -> dict[int, Epoch]:
             rng = np.random.default_rng([session_seed, level, rep])
-            epochs = {}
-            for item in range(config.n_items):
-                is_target = item == targets[level]
-                flashes = [
-                    p300_trial(rng, subject, is_target, mixing).data
-                    for _ in range(2)
-                ]
-                averaged = 0.5 * (flashes[0] + flashes[1])
-                epochs[item] = demean(
-                    Epoch(averaged, fs=subject.fs, label=1 if is_target else 0)
-                )
-            return epochs
+            target = targets[level]
+            # item-major, flash-minor: both flashes of item 0, then of item 1, ...
+            flags = [item == target for item in range(config.n_items) for _ in range(2)]
+            flashes = p300_trial(rng, subject, flags, mixing)
+            averaged = 0.5 * (flashes[0::2] + flashes[1::2])
+            return {
+                item: demean(Epoch(x, fs=subject.fs, label=int(item == target)))
+                for item, x in enumerate(averaged)
+            }
 
         return source
 

@@ -1,20 +1,24 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import signal
 
 from riemann_bci import datasets, mdm
 from riemann_bci.datasets import (
     SyntheticSpec,
     _colored_noise,
+    _mixing,
     default_mi_covariances,
     generate_mi,
     generate_p300,
     generate_ssvep,
     load_model,
     p300_template,
+    p300_trial,
     read_epochs,
     save_model,
     write_epochs,
@@ -253,15 +257,85 @@ class TestColoredNoise:
             mixing = np.random.default_rng(1000 + seed).standard_normal((n, n))
             fast_rng = np.random.default_rng(seed)
             loop_rng = np.random.default_rng(seed)
+            drive = fast_rng.standard_normal((n, t))
+            drive[:, 0] = fast_rng.standard_normal(n)
             np.testing.assert_array_equal(
-                _colored_noise(fast_rng, n, t, ar, mixing),
+                _colored_noise(drive, ar, mixing),
                 colored_noise_loop(loop_rng, n, t, ar, mixing),
             )
             # Same number of draws, in the same order.
             assert fast_rng.standard_normal() == loop_rng.standard_normal()
 
 
+def p300_response_one(spec, latency):
+    """Reference: the evoked response at one latency."""
+    n, t = spec.n_channels, spec.n_samples
+    time = np.arange(t) / spec.fs
+    bump = np.exp(-0.5 * ((time - latency) / 0.06) ** 2)
+    dip = -0.4 * np.exp(-0.5 * ((time - (latency - 0.10)) / 0.04) ** 2)
+    course = bump + dip
+    positions = np.linspace(0.0, 1.0, n)
+    gains = np.exp(-0.5 * ((positions - spec.gain_center) / 0.25) ** 2)
+    response = gains[:, None] * course[None, :]
+    return response - response.mean(axis=1, keepdims=True)
+
+
+def p300_trial_one(rng, spec, is_target, mixing):
+    """Reference: one flash epoch per call, with its draws in generator order."""
+    n, t, ar = spec.n_channels, spec.n_samples, datasets.P300_AR_COEFF
+    drive = rng.standard_normal((n, t)) * np.sqrt(1.0 - ar**2)
+    drive[:, 0] = rng.standard_normal(n)
+    noise = mixing @ signal.lfilter([1.0], [1.0, -ar], drive, axis=1)
+    scale = np.sqrt(np.mean(p300_response_one(spec, spec.latency_s) ** 2))
+    bg_amp = rng.normal(0.0, datasets.P300_BACKGROUND_ERP)
+    bg_latency = spec.latency_s + rng.normal(0.0, datasets.P300_LATENCY_JITTER_S)
+    data = noise + bg_amp * p300_response_one(spec, bg_latency) / scale
+    if is_target:
+        amp = spec.snr * np.exp(rng.normal(0.0, datasets.P300_AMP_JITTER))
+        latency = spec.latency_s + rng.normal(0.0, datasets.P300_LATENCY_JITTER_S)
+        data = data + amp * p300_response_one(spec, latency) / scale
+    return data
+
+
+class TestP300TrialStack:
+    @pytest.mark.parametrize(
+        "n, t, fs", [(1, 2, 8.0), (3, 50, 100.0), (6, 96, 96.0), (8, 128, 128.0)]
+    )
+    @pytest.mark.parametrize(
+        "targets",
+        [
+            [True] * 5,
+            [False] * 5,
+            [False, True, True, False, False, True, False, False],
+            [True],
+            [False],
+        ],
+    )
+    def test_matches_one_trial_per_call(self, n, t, fs, targets):
+        for seed in range(4):
+            spec = SyntheticSpec(n_channels=n, n_samples=t, fs=fs, snr=0.5 + seed)
+            mixing = _mixing(n)
+            stack_rng = np.random.default_rng([seed, n])
+            one_rng = np.random.default_rng([seed, n])
+            stack = p300_trial(stack_rng, spec, targets, mixing)
+            assert stack.shape == (len(targets), n, t) and stack.dtype == np.float64
+            np.testing.assert_array_equal(
+                stack, [p300_trial_one(one_rng, spec, f, mixing) for f in targets]
+            )
+            # Same number of draws, in the same order.
+            assert stack_rng.standard_normal() == one_rng.standard_normal()
+
+
 class TestGenerateP300:
+    def test_golden_bits(self):
+        """The generator's float64 output is pinned bit for bit, so a
+        refactor cannot silently change the synthetic data."""
+        spec = SyntheticSpec(n_channels=6, n_samples=96, fs=96.0, trials_per_class=5, seed=7)
+        epochs, _ = generate_p300(spec)
+        digest = hashlib.sha256(np.stack([e.data for e in epochs]).tobytes()).hexdigest()
+        assert digest == "c5d135a0606523feeda284d225a2edf35fd445a86cf87cb0c701d568fedd7539"
+        assert [e.label for e in epochs] == [1] * 5 + [0] * 5
+
     def test_template_is_zero_mean_unit_rms(self):
         spec = SyntheticSpec(n_channels=6, n_samples=128)
         template = p300_template(spec)

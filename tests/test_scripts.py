@@ -50,3 +50,12 @@ def test_adaptation_study_refuses_no_sessions(monkeypatch):
     with pytest.raises(SystemExit) as exc:
         runpy.run_path(str(path), run_name="__main__")
     assert exc.value.code == 2
+
+
+def test_adaptation_study_refuses_negative_seed(monkeypatch):
+    """A negative session seed is a usage error, not a traceback."""
+    path = SCRIPTS / "adaptation_experiment.py"
+    monkeypatch.setattr(sys, "argv", [str(path), "--seed", "-1"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(path), run_name="__main__")
+    assert exc.value.code == 2

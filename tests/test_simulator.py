@@ -1,13 +1,14 @@
 import csv
+import hashlib
 
 import numpy as np
 import pytest
 
-from riemann_bci import mdm, simulator
+from riemann_bci import adaptive, mdm, simulator
 from riemann_bci.adaptive import FusedClassifier
 from riemann_bci.datasets import SyntheticSpec, generate_mi
 from riemann_bci.errors import ContractError
-from riemann_bci.features import MI, FeatureRecipe
+from riemann_bci.features import MI, FeatureRecipe, featurize
 from riemann_bci.preprocessing import Epoch, demean
 from riemann_bci.simulator import (
     ADAPTIVE,
@@ -104,6 +105,22 @@ class TestRunLevel:
         r2 = run_level(level, FusedClassifier(generic=generic), ADAPTIVE)
         assert r1 == r2
 
+    def test_adaptive_level_featurizes_each_item_epoch_once(self, monkeypatch):
+        config = SyntheticSessionConfig(n_items=4, n_levels=1, max_repetitions=4)
+        generic = synthetic_generic_model(config)
+        (level,) = make_level_specs(config, session_seed=3)
+        featurized = []
+
+        def counted(e, recipe):
+            featurized.append(e)
+            return featurize(e, recipe)
+
+        monkeypatch.setattr(adaptive, "featurize", counted)
+        result = run_level(level, FusedClassifier(generic=generic), ADAPTIVE)
+        assert result.nrd > 1
+        assert len(featurized) == config.n_items * result.nrd
+        assert len({id(e) for e in featurized}) == len(featurized)
+
     def test_selections_match_cumulative_select(self):
         # weak response on item 1, nominal target 4: the level runs to its
         # cap and the selection changes along the way
@@ -148,7 +165,9 @@ class TestRunSession:
                 for item in sorted(epochs):
                     label = 1 if item == level.target else 0
                     replayed.absorb(
-                        epochs[item], label, rep_increment=1.0 / level.n_items
+                        replayed.feature(epochs[item]),
+                        label,
+                        rep_increment=1.0 / level.n_items,
                     )
         assert replayed.n_rep == fused.n_rep
         for z in fused.individual_means:
@@ -156,6 +175,22 @@ class TestRunSession:
                 fused.individual_means[z].values,
                 replayed.individual_means[z].values,
             )
+
+
+class TestMakeLevelSpecs:
+    def test_golden_bits(self):
+        """One repetition of a level's epoch source is pinned bit for bit,
+        so a refactor cannot silently change the replayed stream."""
+        config = SyntheticSessionConfig(n_items=4, n_levels=2)
+        epochs = make_level_specs(config, session_seed=3)[1].epoch_source(2)
+        data = np.stack([epochs[item].data for item in sorted(epochs)])
+        digest = hashlib.sha256(data.tobytes()).hexdigest()
+        assert digest == "12ce54216017a84c484565a0ca222c7499842756676c9e2b4aca44d05bc48c91"
+        assert [epochs[item].label for item in sorted(epochs)] == [0, 1, 0, 0]
+
+    def test_negative_session_seed_rejected(self):
+        with pytest.raises(ContractError, match="session_seed"):
+            make_level_specs(SyntheticSessionConfig(), session_seed=-1)
 
 
 class TestCalibratedNrdDistribution:
