@@ -120,19 +120,6 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _scores_and_predictions(model, epochs):
-    """Predictions, and for two-class models the negated target contrast
-    (higher means more target-like, as the AUC expects)."""
-    predictions = []
-    scores = []
-    for e in epochs:
-        dv = mdm_mod.distances(model, e)
-        predictions.append(dv.argmin_class())
-        if len(model.class_ids) == 2:
-            scores.append(-mdm_mod.target_contrast(dv))
-    return predictions, scores
-
-
 def cmd_eval(args) -> int:
     model = load_model(args.model)
     epochs = _preprocess(read_epochs(args.input), args)
@@ -144,16 +131,14 @@ def cmd_eval(args) -> int:
         raise ContractError(
             f"labels {strays} are not model class ids {list(model.class_ids)}"
         )
-    predictions, scores = _scores_and_predictions(model, labeled)
-    labels = [e.label for e in labeled]
-    accuracy = float(np.mean([p == l for p, l in zip(predictions, labels)]))
+    scored = [(mdm_mod.distances(model, e), e.label) for e in labeled]
+    accuracy = float(np.mean([dv.argmin_class() == y for dv, y in scored]))
     rows = [("n_trials", len(labeled)), ("accuracy", accuracy)]
     if model.recipe.modality == P300 and len(model.class_ids) == 2:
+        # negated contrasts: higher is more target-like, as the AUC expects
         target = max(model.class_ids)
-        auc = mdm_mod.auc(
-            [(s, int(l == target)) for s, l in zip(scores, labels)]
-        )
-        rows.append(("auc", auc))
+        pairs = [(-mdm_mod.target_contrast(dv), int(y == target)) for dv, y in scored]
+        rows.append(("auc", mdm_mod.auc(pairs)))
     with open(args.report, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("metric", "value"))
@@ -187,8 +172,8 @@ def cmd_crossval(args) -> int:
         test_idx = set(int(i) for i in fold)
         train = [e for i, e in enumerate(labeled) if i not in test_idx]
         test = [labeled[i] for i in sorted(test_idx)]
-        predictions, _ = _scores_and_predictions(_fit(args, train), test)
-        accuracy = float(np.mean([p == e.label for p, e in zip(predictions, test)]))
+        model = _fit(args, train)
+        accuracy = float(np.mean([mdm_mod.predict(model, e) == e.label for e in test]))
         accuracies.append(accuracy)
         rows.append((fold_id, len(test), accuracy))
     with open(args.report, "w", newline="") as fh:

@@ -104,9 +104,19 @@ def _butter_sos(
     order: int, low_hz: float, high_hz: float, fs: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Read-only second-order sections of one Butterworth band-pass design,
-    with their step-response initial state ``sosfilt_zi`` (one linear solve)."""
-    sos = signal.butter(order, [low_hz, high_hz], btype="bandpass", fs=fs, output="sos")
-    zi = signal.sosfilt_zi(sos)
+    with their step-response initial state ``sosfilt_zi`` (one linear solve).
+
+    A band edge too close to 0 Hz leaves the solve singular (or underflows
+    the design); that is refused as a contract error naming the band.
+    """
+    try:
+        sos = signal.butter(order, [low_hz, high_hz], btype="bandpass", fs=fs, output="sos")
+        zi = signal.sosfilt_zi(sos)
+    except ValueError as exc:  # numpy's LinAlgError is a ValueError
+        raise ContractError(
+            f"cannot design an order-{order} band-pass [{low_hz}, {high_hz}] Hz "
+            f"at fs {fs} Hz: {exc}"
+        ) from exc
     sos.flags.writeable = False
     zi.flags.writeable = False
     return sos, zi
@@ -147,10 +157,10 @@ def decimate(e: Epoch, target_fs: float) -> Epoch:
     The signal is assumed already band-limited below target_fs / 2 by a
     prior band-pass, so no anti-alias filter is applied here.
     """
-    if target_fs <= 0:
-        raise ContractError(f"target rate must be positive, got {target_fs}")
+    if not (math.isfinite(target_fs) and target_fs > 0):
+        raise ContractError(f"target rate must be positive and finite, got {target_fs}")
     ratio = e.fs / target_fs
-    k = round(ratio)
+    k = round(ratio) if math.isfinite(ratio) else 0
     if k < 1 or abs(ratio - k) > 1e-9:
         raise ContractError(
             f"decimation ratio must be a positive integer, got {e.fs}/{target_fs}"

@@ -83,7 +83,6 @@ class SessionSummary:
     nrds: tuple[int, ...]
     mean_nrd: float
     nrd_slope: float
-    solved_levels: int
 
 
 def run_level(spec: LevelSpec, clf, mode: str) -> LevelResult:
@@ -96,11 +95,14 @@ def run_level(spec: LevelSpec, clf, mode: str) -> LevelResult:
     """
     if mode not in (ADAPTIVE, NON_ADAPTIVE):
         raise ContractError(f"unknown mode {mode!r}")
-    fused = isinstance(clf, FusedClassifier)
-    if mode == ADAPTIVE and not fused:
+    if isinstance(clf, FusedClassifier):
+        # one feature per item epoch, both scored and absorbed
+        item_input, score = clf.feature, clf.fused_distances
+        class_ids = clf.generic.class_ids
+    elif mode == ADAPTIVE:
         raise ContractError("adaptive mode needs a FusedClassifier")
-    class_ids = clf.generic.class_ids if fused else clf.class_ids
-    score = clf.fused_distances if fused else partial(distances, clf)
+    else:
+        item_input, score, class_ids = (lambda e: e), partial(distances, clf), clf.class_ids
     cumulative: dict[int, float] = {}
     selections: list[int] = []
     for rep in range(spec.max_repetitions):
@@ -110,12 +112,7 @@ def run_level(spec: LevelSpec, clf, mode: str) -> LevelResult:
                 f"source yielded {len(epochs_by_item)} items for a "
                 f"{spec.n_items}-item level"
             )
-        # a fused classifier scores and absorbs one feature per item epoch
-        repetition = (
-            {item: clf.feature(e) for item, e in epochs_by_item.items()}
-            if fused
-            else epochs_by_item
-        )
+        repetition = {item: item_input(e) for item, e in epochs_by_item.items()}
         selections.append(add_repetition(cumulative, repetition, score))
         if mode == ADAPTIVE:
             # supervised update, applied only after the selection was used
@@ -140,9 +137,19 @@ def run_session(
         nrds=tuple(int(n) for n in nrds),
         mean_nrd=float(nrds.mean()),
         nrd_slope=slope,
-        solved_levels=sum(r.solved for r in results),
     )
     return results, summary
+
+
+def _replay_levels(
+    levels: list[LevelSpec], modes: tuple[str, ...], generic, trained, ramp: int
+) -> Iterator[tuple[str, list[LevelResult], SessionSummary]]:
+    """Replay the same levels once per mode, in order, yielding
+    ``(mode, results, summary)``: each adaptive replay starts a fresh fused
+    classifier from ``generic``; non-adaptive ones share ``trained``."""
+    for mode in modes:
+        clf = FusedClassifier(generic=generic, ramp=ramp) if mode == ADAPTIVE else trained
+        yield (mode, *run_session(levels, clf, mode))
 
 
 @dataclass(frozen=True)
@@ -160,7 +167,8 @@ def compare_modes(
     shrinkage: float | str = DEFAULT_ERP_SHRINKAGE,
     ramp: int = DEFAULT_RAMP,
 ) -> ModeComparison:
-    """Paired run of both modes over identical level specs.
+    """Paired run of both modes over identical level specs, adaptive first:
+    one seed's pass of :func:`replay_sessions`.
 
     The epoch sources must be deterministic so both modes replay the same
     stream.  Non-adaptive is the classic setting: a model calibrated on
@@ -168,13 +176,9 @@ def compare_modes(
     from the generic model with no individual data at all.
     """
     trained = calibrated_model(training, shrinkage)
-    adaptive_results, adaptive_summary = run_session(
-        levels, FusedClassifier(generic=generic, ramp=ramp), ADAPTIVE
-    )
-    static_results, static_summary = run_session(levels, trained, NON_ADAPTIVE)
-    return ModeComparison(
-        tuple(adaptive_results), adaptive_summary, tuple(static_results), static_summary
-    )
+    replays = _replay_levels(levels, (ADAPTIVE, NON_ADAPTIVE), generic, trained, ramp)
+    (_, adaptive, adaptive_summary), (_, static, static_summary) = replays
+    return ModeComparison(tuple(adaptive), adaptive_summary, tuple(static), static_summary)
 
 
 CSV_COLUMNS = ("session", "level", "mode", "repetition", "selected", "target", "nrd")
@@ -329,9 +333,9 @@ def replay_sessions(
     """The paired protocol of ``simulate`` and the adaptation study: yield
     ``(session, mode, results, summary)`` for each session seed (``session``
     is its position in ``seeds``), and within it for each mode in order, all
-    over the same level specs.  Adaptive replays each start a fresh fused
-    classifier; non-adaptive ones share the model calibrated on the
-    subject's training run.
+    over the same level specs: per seed, the replay :func:`compare_modes`
+    makes, with the static model calibrated once on the subject's training
+    run.
     """
     # Each builder draws from its own fixed-seed generator, so building only
     # what the modes use changes no output; an unknown mode fails in run_level.
@@ -342,10 +346,5 @@ def replay_sessions(
         trained = calibrated_model(synthetic_training_run(config), config.shrinkage)
     for session, seed in enumerate(seeds):
         levels = make_level_specs(config, session_seed=seed)
-        for mode in modes:
-            if mode == ADAPTIVE:
-                clf = FusedClassifier(generic=generic, ramp=config.ramp)
-            else:
-                clf = trained
-            results, summary = run_session(levels, clf, mode)
-            yield session, mode, results, summary
+        for replay in _replay_levels(levels, modes, generic, trained, config.ramp):
+            yield (session, *replay)

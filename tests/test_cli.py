@@ -397,6 +397,34 @@ def _zero_decimation_rate(tmp_path, model, data):
     return _fit(tmp_path, data) + ["--decimate-to", "0"], "target rate must"
 
 
+def _nan_decimation_rate(tmp_path, model, data):
+    return _fit(tmp_path, data) + ["--decimate-to", "nan"], "target rate must"
+
+
+def _subnormal_decimation_rate(tmp_path, model, data):
+    # 128 / 1e-320 overflows to an infinite decimation ratio
+    return _fit(tmp_path, data) + ["--decimate-to", "1e-320"], "decimation ratio must"
+
+
+def _band_edge_near_zero(tmp_path, model, data):
+    # the Butterworth initial-state solve is singular for a 1e-8 Hz edge
+    return _fit(tmp_path, data) + ["--band", "1e-8", "10"], "[1e-08, 10.0] Hz"
+
+
+def _subnormal_band_edge(tmp_path, model, data):
+    # scipy refuses a band edge that underflows to 0 in normalized frequency
+    return _fit(tmp_path, data) + ["--band", "5e-324", "10"], "[5e-324, 10.0] Hz"
+
+
+def _model_band_edge_near_zero(tmp_path, model, data):
+    ssvep, ssvep_model = _fitted(tmp_path, "ssvep")
+    # the 12 Hz band of this width starts at about 1e-8 Hz
+    bad = _rewritten_model(
+        tmp_path, ssvep_model, lambda doc: doc["recipe"].update(width_hz=23.99999998)
+    )
+    return _eval(tmp_path, bad, ssvep), "band-pass"
+
+
 def _string_mean_entry(tmp_path, model, data):
     def mutate(doc):
         doc["means"][0][0][0] = str(doc["means"][0][0][0])
@@ -478,7 +506,9 @@ def _negative_crossval_seed(tmp_path, model, data):
      _missing_input, _number_header, _infinite_fs_header, _non_string_channel_names,
      _object_modality, _future_epoch_version, _future_model_version,
      _report_in_missing_dir, _zero_mean_iterations, _negative_mean_tol,
-     _mean_tol_infinite, _zero_decimation_rate, _string_mean_entry,
+     _mean_tol_infinite, _zero_decimation_rate, _nan_decimation_rate,
+     _subnormal_decimation_rate, _band_edge_near_zero, _subnormal_band_edge,
+     _model_band_edge_near_zero, _string_mean_entry,
      _string_prototype_entry, _duplicate_class_ids, _negative_crossval_seed,
      _labels_not_class_ids, _stray_prototype_class, _repeated_fit_freqs,
      _repeated_model_freqs] + _NOT_NUMBERS,
@@ -524,6 +554,33 @@ def test_bad_synthetic_geometry_is_data_error(tmp_path, capsys, argv, field):
     assert run(argv + ["--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{field} must" in err, err
+
+
+# Any float fit may be given on its command line.
+FLAG_FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fit_float_flags(fitted_models, data):
+    """``fit`` given any float, NaN, infinite or subnormal value for
+    ``--band LOW HIGH`` or ``--decimate-to`` on an MI file, or ``--width``
+    on an SSVEP file, fits (0) or refuses it (2 usage, 3 data, 4 numeric);
+    no exception escapes ``main``."""
+    flag = data.draw(st.sampled_from(["--band", "--decimate-to", "--width"]))
+    if flag == "--band":
+        flags = [flag, repr(data.draw(FLAG_FLOATS)), repr(data.draw(FLAG_FLOATS))]
+    else:
+        # the joined form keeps a negative value from reading as a flag
+        flags = [f"{flag}={data.draw(FLAG_FLOATS)!r}"]
+    if flag == "--width":
+        (_, epochs), modality = fitted_models[2], ["ssvep", "--freqs", "10", "15"]
+    else:
+        (_, epochs), modality = fitted_models[0], ["mi"]
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["fit", "--modality", *modality, "--in", str(epochs),
+                "--out", str(Path(tmp) / "m.json")] + flags
+        assert run(argv) in (0, 2, 3, 4)
 
 
 # One of each kind of hostile JSON value: negative, float, huge, string,

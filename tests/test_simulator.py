@@ -149,7 +149,7 @@ class TestRunSession:
         assert summary.nrds == tuple([1] * 12)
         assert summary.mean_nrd == 1.0
         assert summary.nrd_slope == pytest.approx(0.0, abs=1e-12)
-        assert summary.solved_levels == 12
+        assert sum(r.solved for r in results) == 12
 
     def test_adaptive_state_matches_stream_replay(self):
         config = SyntheticSessionConfig(n_items=3, n_levels=2, max_repetitions=3)
@@ -233,6 +233,30 @@ class TestCompareModes:
         cmp = compare_modes(levels, generic, training)
         assert len(cmp.adaptive_results) == 4
         assert len(cmp.non_adaptive_results) == 4
+
+    def test_one_session_replays_as_replay_sessions(self):
+        """compare_modes is one seed's pass of the replay_sessions protocol."""
+        config = SyntheticSessionConfig(n_items=3, n_levels=3, max_repetitions=3)
+        seed = 5
+        cmp = compare_modes(
+            make_level_specs(config, seed),
+            synthetic_generic_model(config),
+            synthetic_training_run(config),
+            shrinkage=config.shrinkage,
+            ramp=config.ramp,
+        )
+        replayed = list(replay_sessions(config, [seed], (ADAPTIVE, NON_ADAPTIVE)))
+        paired = (
+            (ADAPTIVE, cmp.adaptive_results, cmp.adaptive_summary),
+            (NON_ADAPTIVE, cmp.non_adaptive_results, cmp.non_adaptive_summary),
+        )
+        assert [(s, m) for s, m, _, _ in replayed] == [(0, ADAPTIVE), (0, NON_ADAPTIVE)]
+        for (mode, results, summary), (_, _, r_results, r_summary) in zip(paired, replayed):
+            assert [(r.selections, r.mode, r.target) for r in results] == [
+                (r.selections, r.mode, r.target) for r in r_results
+            ]
+            assert all(r.mode == mode for r in results)
+            assert summary == r_summary
 
     def test_replay_builds_only_what_its_modes_use(self, monkeypatch):
         def no_generic(config):
