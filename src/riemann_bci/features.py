@@ -66,14 +66,6 @@ class Prototype:
         a.flags.writeable = False
         object.__setattr__(self, "data", a)
 
-    @property
-    def n_channels(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def n_samples(self) -> int:
-        return self.data.shape[1]
-
 
 @dataclass(frozen=True)
 class FeatureRecipe:
@@ -95,16 +87,23 @@ class FeatureRecipe:
         _validate_shrinkage(self.shrinkage)
         if self.modality in (ERP_MULTI, P300, MU_P300) and not self.prototypes:
             raise ContractError(f"modality {self.modality!r} requires prototypes")
+        if self.modality in (MI, SSVEP) and self.prototypes:
+            raise ContractError(f"modality {self.modality!r} takes no prototypes")
         if self.modality in (P300, MU_P300) and len(self.prototypes) != 1:
             raise ContractError(
                 f"modality {self.modality!r} takes exactly one target prototype"
             )
         if self.modality == SSVEP and not self.freqs:
             raise ContractError("ssvep modality requires flicker frequencies")
+        if self.modality != SSVEP and self.freqs:
+            raise ContractError(f"modality {self.modality!r} takes no freqs")
         if len(set(self.freqs)) != len(self.freqs):
             raise ContractError(f"freqs must be distinct, got {list(self.freqs)}")
-        if self.modality == MU_P300 and self.n_subjects < 1:
-            raise ContractError(f"n_subjects must be >= 1, got {self.n_subjects}")
+        if self.n_subjects < 1 or (self.n_subjects != 1 and self.modality != MU_P300):
+            raise ContractError(
+                f"n_subjects must be >= 1 for {MU_P300!r} and 1 otherwise, "
+                f"got {self.n_subjects} for modality {self.modality!r}"
+            )
 
 
 def _validate_shrinkage(gamma) -> None:
@@ -122,13 +121,14 @@ def shrink(c: SpdMatrix | np.ndarray, gamma: float | str) -> SpdMatrix:
     check; gamma=0 returns C unchanged (C must already be SPD).
     """
     values = c.values if isinstance(c, SpdMatrix) else np.asarray(c, float)
-    return _shrunk(lambda g: _blend(values, g), gamma)
+    target = np.trace(values) / values.shape[0]
+    return _shrunk(lambda g: _blend(values, g, target), gamma)
 
 
-def _blend(values: np.ndarray, g: float) -> np.ndarray:
+def _blend(values: np.ndarray, g: float, target: float | np.ndarray) -> np.ndarray:
+    """(1 - g) C + g * target * I; ``target`` is one scalar or one value per row."""
     if g == 0.0:
         return values
-    target = np.trace(values) / values.shape[0]
     return (1.0 - g) * values + g * target * np.eye(values.shape[0])
 
 
@@ -232,18 +232,15 @@ def ssvep_block_cov(
     for b in bank:
         if b.n_channels != n or b.n_samples != t:
             raise ContractError("filter-bank epochs must share channel/sample counts")
-    raw_blocks = [_stacked_cov([b.data]) for b in bank]
-
-    def build(g: float) -> np.ndarray:
-        out = np.zeros((n * len(bank), n * len(bank)))
-        for i, raw in enumerate(raw_blocks):
-            out[i * n : (i + 1) * n, i * n : (i + 1) * n] = _blend(raw, g)
-        return out
-
+    blocks = [_stacked_cov([b.data]) for b in bank]
+    raw = np.zeros((n * len(bank), n * len(bank)))
+    for i, c in enumerate(blocks):
+        raw[i * n : (i + 1) * n, i * n : (i + 1) * n] = c
+    target = np.repeat([np.trace(c) / n for c in blocks], n)
     # 'auto' takes one ladder level for all bands: the smallest gamma that
     # makes the assembled matrix positive definite, so weak bands get a
     # floor commensurate with the global eigenvalue check.
-    return _shrunk(build, shrinkage)
+    return _shrunk(lambda g: _blend(raw, g, target), shrinkage)
 
 
 def build_recipe(
@@ -285,38 +282,30 @@ def build_recipe(
 def featurize(e: Epoch, recipe: FeatureRecipe) -> SpdMatrix:
     """Build the recipe's feature matrix for one (preprocessed) epoch.
 
-    Prototype blocks come first (ascending class id), the trial last; a
-    multi-user epoch stacks its subjects' channels and is split into one
-    trial per subject.  Prototype blocks are constant across trials, the
-    cross blocks carry what discriminates the classes.
+    Apart from SSVEP, the feature is one super-trial: the recipe's prototypes
+    stacked in ascending class id (none for motor imagery), then the epoch's
+    ``n_subjects`` equal channel groups, one trial per subject.  Prototype
+    blocks are constant across trials, the cross blocks carry what
+    discriminates the classes.
     """
     if recipe.modality == SSVEP:
         bank = ssvep_filter_bank(
             e, list(recipe.freqs), width_hz=recipe.width_hz, order=recipe.order
         )
         return ssvep_block_cov(bank, recipe.shrinkage)
-    protos = recipe.prototypes
-    trials = [e.data]
-    if recipe.modality == MU_P300:
-        n = protos[0].n_channels
-        m = recipe.n_subjects
-        if e.n_channels != m * n:
-            raise ContractError(
-                f"multi-user epoch needs {m} x {n} stacked channels, "
-                f"got {e.n_channels}"
-            )
-        trials = [e.data[i * n : (i + 1) * n] for i in range(m)]
+    m = recipe.n_subjects
+    n = e.n_channels // m
+    if n * m != e.n_channels:
+        raise ContractError(
+            f"epoch of {e.n_channels} channels does not split into {m} subjects"
+        )
+    trials = [e.data[i * n : (i + 1) * n] for i in range(m)]
+    protos = sorted(recipe.prototypes, key=lambda p: p.class_id)
     for p in protos:
         if p.data.shape != trials[0].shape:
             raise ContractError(
                 f"prototype for class {p.class_id} has shape {p.data.shape}, "
                 f"trial has {trials[0].shape}"
             )
-    if recipe.modality == MI:
-        rows = trials
-    elif recipe.modality == ERP_MULTI:
-        ordered = sorted(protos, key=lambda p: p.class_id)
-        rows = [np.vstack([p.data for p in ordered])] + trials
-    else:  # P300 and MU_P300 stack the target prototype alone
-        rows = [protos[0].data] + trials
-    return super_trial_cov(rows, recipe.shrinkage)
+    head = [np.concatenate([p.data for p in protos])] if protos else []
+    return super_trial_cov(head + trials, recipe.shrinkage)

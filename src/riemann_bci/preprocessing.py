@@ -106,13 +106,16 @@ def _butter_sos(
     """Read-only second-order sections of one Butterworth band-pass design,
     with their step-response initial state ``sosfilt_zi`` (one linear solve).
 
-    A band edge too close to 0 Hz leaves the solve singular (or underflows
-    the design); that is refused as a contract error naming the band.
+    A band edge too close to 0 Hz leaves the solve singular, puts a pole on
+    the unit circle (0/0 in the DC gain) or underflows the design; each is
+    refused as a contract error naming the band.
     """
     try:
-        sos = signal.butter(order, [low_hz, high_hz], btype="bandpass", fs=fs, output="sos")
-        zi = signal.sosfilt_zi(sos)
-    except ValueError as exc:  # numpy's LinAlgError is a ValueError
+        # numpy's LinAlgError is a ValueError; 0/0 raises FloatingPointError
+        with np.errstate(invalid="raise"):
+            sos = signal.butter(order, [low_hz, high_hz], btype="bandpass", fs=fs, output="sos")
+            zi = signal.sosfilt_zi(sos)
+    except (ValueError, FloatingPointError) as exc:
         raise ContractError(
             f"cannot design an order-{order} band-pass [{low_hz}, {high_hz}] Hz "
             f"at fs {fs} Hz: {exc}"

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import riemann_bci
 from riemann_bci.cli import main
 from riemann_bci.datasets import load_model, read_epochs, save_model
 
@@ -493,6 +497,27 @@ def _repeated_model_freqs(tmp_path, model, data):
     return _eval(tmp_path, bad, ssvep), "freqs must be distinct"
 
 
+def _mi_freqs(tmp_path, model, data):
+    return _fit(tmp_path, data) + ["--freqs", "12", "15"], "takes no freqs"
+
+
+def _mi_model_prototype(tmp_path, model, data):
+    # a prototype of the trial's own shape, which no MI feature reads
+    prototype = {"class_id": 1, "n_epochs": 1, "data": read_epochs(data)[0].data.tolist()}
+    bad = _rewritten_model(
+        tmp_path, model, lambda doc: doc["recipe"].update(prototypes=[prototype])
+    )
+    return _eval(tmp_path, bad, data), "takes no prototypes"
+
+
+def _p300_model_two_subjects(tmp_path, model, data):
+    p300, p300_model = _fitted(tmp_path, "p300")
+    bad = _rewritten_model(
+        tmp_path, p300_model, lambda doc: doc["recipe"].update(n_subjects=2)
+    )
+    return _eval(tmp_path, bad, p300), "n_subjects must"
+
+
 def _negative_crossval_seed(tmp_path, model, data):
     argv = ["crossval", "--modality", "mi", "--in", str(data),
             "--report", str(tmp_path / "r.csv"), "--k", "2", "--seed", "-1"]
@@ -511,7 +536,8 @@ def _negative_crossval_seed(tmp_path, model, data):
      _model_band_edge_near_zero, _string_mean_entry,
      _string_prototype_entry, _duplicate_class_ids, _negative_crossval_seed,
      _labels_not_class_ids, _stray_prototype_class, _repeated_fit_freqs,
-     _repeated_model_freqs] + _NOT_NUMBERS,
+     _repeated_model_freqs, _mi_freqs, _mi_model_prototype,
+     _p300_model_two_subjects] + _NOT_NUMBERS,
     ids=lambda case: case.__name__.lstrip("_"),
 )
 def test_bad_input_is_data_error(tmp_path, capsys, case):
@@ -529,6 +555,23 @@ def test_bad_input_is_data_error(tmp_path, capsys, case):
     assert run(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err, err
+
+
+def test_refused_band_prints_one_error_line(tmp_path):
+    """A band whose design divides 0 by 0 is refused with the error line
+    alone on stderr, no library warning before it."""
+    data = tmp_path / "mi.dat"
+    assert run(["synth", "--modality", "mi", "--trials", "4", "--samples", "64",
+                "--seed", "0", "--out", str(data)]) == 0
+    src = Path(riemann_bci.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "riemann_bci", "fit", "--modality", "mi",
+         "--band", "1e-7", "10", "--in", str(data), "--out", str(tmp_path / "m.json")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 3
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

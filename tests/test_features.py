@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from riemann_bci.features import (
     AUTO_SHRINKAGE_LADDER,
     ERP_MULTI,
     MI,
+    MODALITIES,
     MU_P300,
     P300,
     SSVEP,
@@ -465,3 +468,72 @@ class TestFeaturizeAndRecipe:
             FeatureRecipe(modality=SSVEP)
         with pytest.raises(ContractError):
             FeatureRecipe(modality=MI, shrinkage=2.0)
+
+    def test_recipe_refuses_fields_its_modality_never_reads(self, rng):
+        proto = Prototype(rng.standard_normal((3, 60)), class_id=1, n_epochs=1)
+        with pytest.raises(ContractError, match="takes no prototypes"):
+            FeatureRecipe(SSVEP, prototypes=(proto,), freqs=(12.0,))
+        with pytest.raises(ContractError, match="takes no freqs"):
+            FeatureRecipe(P300, prototypes=(proto,), freqs=(12.0,))
+        with pytest.raises(ContractError, match="n_subjects must"):
+            FeatureRecipe(ERP_MULTI, prototypes=(proto,), n_subjects=2)
+        with pytest.raises(ContractError, match="n_subjects must"):
+            FeatureRecipe(MU_P300, prototypes=(proto,), n_subjects=0)
+
+    def test_channel_mismatch_is_named(self, rng):
+        proto = Prototype(rng.standard_normal((3, 60)), class_id=1, n_epochs=1)
+        four = Epoch(rng.standard_normal((4, 60)), fs=128.0)
+        with pytest.raises(ContractError, match="prototype for class 1 has shape"):
+            featurize(four, FeatureRecipe(P300, prototypes=(proto,)))
+        two = FeatureRecipe(MU_P300, prototypes=(proto,), n_subjects=2)
+        with pytest.raises(ContractError, match="prototype for class 1 has shape"):
+            featurize(Epoch(rng.standard_normal((8, 60)), fs=128.0), two)
+        with pytest.raises(ContractError, match="does not split into 2 subjects"):
+            featurize(Epoch(rng.standard_normal((7, 60)), fs=128.0), two)
+
+
+# Integer-valued inputs keep every non-SSVEP covariance sum exact; the SSVEP
+# bank's products depend on the BLAS summation order.
+def golden_feature(modality: str, shrinkage: float | str) -> SpdMatrix:
+    """``featurize`` on fixed per-modality inputs: a 4-channel trial of 6
+    samples (rank-deficient super-trials), or of 128 samples for SSVEP."""
+    rng = np.random.default_rng(1500 + MODALITIES.index(modality))
+
+    def ints(rows, t=6):
+        return rng.integers(-8, 9, size=(rows, t)).astype(float)
+
+    if modality == SSVEP:
+        recipe = FeatureRecipe(SSVEP, freqs=(12.0, 15.0, 20.0), shrinkage=shrinkage)
+        return featurize(Epoch(ints(4, 128), fs=128.0), recipe)
+    class_ids = (2, 1) if modality == ERP_MULTI else (2,)  # stacked as (1, 2)
+    protos = tuple(Prototype(ints(4), class_id=z, n_epochs=3) for z in class_ids)
+    n_subjects = 2 if modality == MU_P300 else 1
+    recipe = FeatureRecipe(
+        modality,
+        prototypes=() if modality == MI else protos,
+        shrinkage=shrinkage,
+        n_subjects=n_subjects,
+    )
+    return featurize(Epoch(ints(4 * n_subjects), fs=128.0), recipe)
+
+
+# sha256 of every golden feature's bytes, at a fixed shrinkage and at 'auto'.
+FEATURE_SHA256 = {
+    (MI, 1e-2): "696f24d5fdc0b1f89f4518d49c1c25ce48a872221d21f4a571f6409a9e8b287d",
+    (MI, "auto"): "afb8172c204fc5151cdaff62cf03df7c9cdf6b46c67bb52c4871e7af7260b76f",
+    (ERP_MULTI, 1e-2): "c39e518bfe0debc5f608308f1de3cccc35b240d88aeab27b1de4e882cbbcdc0b",
+    (ERP_MULTI, "auto"): "86ad5bd4bcad6f7569b6e595ae433159cee15eef13a6f740e7a2f47e9a5653d0",
+    (P300, 1e-2): "68523b291d8590ea8f26625374245547672781b4477dedf2c38dd844836d2736",
+    (P300, "auto"): "58156c59b1af3c5dbd1e771aaf969918d647c0aaee19c72dfcd080475f742d10",
+    (SSVEP, 1e-2): "12237d90670c5375f31c71498996ed6d45268347deb8f60e9e8ab827b2e46d88",
+    (SSVEP, "auto"): "7fae898820d48ca4d60d46f6d22580d620d59dbb6c013146a516d512007e7ff6",
+    (MU_P300, 1e-2): "eaf9c8afc9034a0fba7e46f4133492bec66e55060ceb699dee5db3411e2e7360",
+    (MU_P300, "auto"): "a462a7ab6ae538c4cb90d24d436fda8d14361a79485f7998674d4359e35c56a4",
+}
+
+
+@pytest.mark.parametrize("modality, shrinkage", list(FEATURE_SHA256))
+def test_feature_bytes_are_pinned(modality, shrinkage):
+    """Every stacking rule and both shrinkage paths keep their exact bytes."""
+    values = golden_feature(modality, shrinkage).values
+    assert hashlib.sha256(values.tobytes()).hexdigest() == FEATURE_SHA256[modality, shrinkage]

@@ -6,6 +6,8 @@ import riemann_bci
 # Defaulted dataclass fields plus defaulted parameters in the package: a new
 # option has to raise this bound in the same change that adds it.
 MAX_SETTABLE_VALUES = 53
+# Names exported by the top-level package: a new one has to raise this bound.
+MAX_PUBLIC_NAMES = 15
 
 
 def test_public_names_sorted_unique_and_resolvable():
@@ -13,6 +15,10 @@ def test_public_names_sorted_unique_and_resolvable():
     assert names == sorted(set(names))
     missing = [name for name in names if not hasattr(riemann_bci, name)]
     assert not missing, missing
+
+
+def test_public_names_do_not_grow():
+    assert len(riemann_bci.__all__) <= MAX_PUBLIC_NAMES, riemann_bci.__all__
 
 
 def _settable_values(tree: ast.Module) -> int:
