@@ -25,11 +25,8 @@ def auc_for(snr: float, seed: int) -> float:
     test = [demean(e) for e in generate_p300(test_spec)[0]]
     recipe = build_recipe(P300, training=train, shrinkage=DEFAULT_ERP_SHRINKAGE)
     model = mdm.fit(train, recipe)
-    scores = []
-    for e in test:
-        dv = mdm.distances(model, e)
-        scores.append((-mdm.target_contrast(dv), e.label))
-    return mdm.auc(scores)
+    scored = zip(mdm.stack_distances(model, test), test)
+    return mdm.auc([(-mdm.target_contrast(dv), e.label) for dv, e in scored])
 
 
 def main() -> None:

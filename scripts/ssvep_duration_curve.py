@@ -33,7 +33,8 @@ def curve(snr: float, seed: int) -> np.ndarray:
     for seconds in DURATIONS:
         model = mdm.fit([crop(e, seconds) for e in train], recipe)
         cropped = [crop(e, seconds) for e in test]
-        accs.append(np.mean([mdm.predict(model, e) == e.label for e in cropped]))
+        scored = zip(mdm.stack_distances(model, cropped), cropped)
+        accs.append(np.mean([dv.argmin_class() == e.label for dv, e in scored]))
     return np.array(accs)
 
 

@@ -68,7 +68,7 @@ class FusedClassifier:
     def feature(self, e: Epoch) -> SpdMatrix:
         """The epoch's feature matrix under the shared recipe; the input of
         :meth:`fused_distances` and :meth:`absorb`, built once per epoch."""
-        return featurize(e, self.generic.recipe)
+        return featurize([e], self.generic.recipe)[0]
 
     def fused_distances(self, feat: SpdMatrix) -> DistanceVector:
         """Per-class weighted sum of the two classifiers' distance profiles

@@ -131,7 +131,7 @@ def cmd_eval(args) -> int:
         raise ContractError(
             f"labels {strays} are not model class ids {list(model.class_ids)}"
         )
-    scored = [(mdm_mod.distances(model, e), e.label) for e in labeled]
+    scored = list(zip(mdm_mod.stack_distances(model, labeled), [e.label for e in labeled]))
     accuracy = float(np.mean([dv.argmin_class() == y for dv, y in scored]))
     rows = [("n_trials", len(labeled)), ("accuracy", accuracy)]
     if model.recipe.modality == P300 and len(model.class_ids) == 2:
@@ -173,7 +173,8 @@ def cmd_crossval(args) -> int:
         train = [e for i, e in enumerate(labeled) if i not in test_idx]
         test = [labeled[i] for i in sorted(test_idx)]
         model = _fit(args, train)
-        accuracy = float(np.mean([mdm_mod.predict(model, e) == e.label for e in test]))
+        scored = zip(mdm_mod.stack_distances(model, test), test)
+        accuracy = float(np.mean([dv.argmin_class() == e.label for dv, e in scored]))
         accuracies.append(accuracy)
         rows.append((fold_id, len(test), accuracy))
     with open(args.report, "w", newline="") as fh:
@@ -301,14 +302,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
-        return args.func(args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except ContractError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except NumericError as exc:
+    except (NumericError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

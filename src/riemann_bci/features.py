@@ -21,7 +21,7 @@ to guarantee positive definiteness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from itertools import accumulate
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .preprocessing import (
     SSVEP_BAND_WIDTH_HZ,
     ssvep_filter_bank,
 )
-from .spd import SpdMatrix
+from .spd import Evd, SpdMatrix, decompose, not_positive_definite
 
 MI = "mi"
 ERP_MULTI = "erp_multi"
@@ -95,8 +95,9 @@ class FeatureRecipe:
             )
         if self.modality == SSVEP and not self.freqs:
             raise ContractError("ssvep modality requires flicker frequencies")
-        if self.modality != SSVEP and self.freqs:
-            raise ContractError(f"modality {self.modality!r} takes no freqs")
+        band = (self.width_hz, self.order) != (SSVEP_BAND_WIDTH_HZ, SSVEP_BAND_ORDER)
+        if self.modality != SSVEP and (self.freqs or band):
+            raise ContractError(f"modality {self.modality!r} takes no freqs, width_hz or order")
         if len(set(self.freqs)) != len(self.freqs):
             raise ContractError(f"freqs must be distinct, got {list(self.freqs)}")
         if self.n_subjects < 1 or (self.n_subjects != 1 and self.modality != MU_P300):
@@ -113,76 +114,81 @@ def _validate_shrinkage(gamma) -> None:
         raise ContractError(f"shrinkage must be in [0, 1] or 'auto', got {gamma!r}")
 
 
-def shrink(c: SpdMatrix | np.ndarray, gamma: float | str) -> SpdMatrix:
+def shrink(c: SpdMatrix | np.ndarray, gamma: float | str) -> SpdMatrix | list[SpdMatrix]:
     """Blend toward the scaled identity: (1 - g) C + g (trace(C)/dim) I.
 
     ``gamma='auto'`` picks the smallest value from the ladder
     (1e-8, 1e-6, 1e-4, 1e-2, 1e-1) that yields a matrix passing the SPD
-    check; gamma=0 returns C unchanged (C must already be SPD).
+    check; gamma=0 returns C unchanged (C must already be SPD).  A
+    (k, dim, dim) stack C gives a list of k, each at its own level.
     """
     values = c.values if isinstance(c, SpdMatrix) else np.asarray(c, float)
-    target = np.trace(values) / values.shape[0]
-    return _shrunk(lambda g: _blend(values, g, target), gamma)
+    if values.ndim not in (2, 3) or values.shape[-1] != values.shape[-2]:
+        raise ContractError(f"expected square matrices, got shape {values.shape}")
+    stack = values.reshape((-1,) + values.shape[-2:])
+    out = _shrunk(stack, stack.trace(axis1=1, axis2=2)[:, None] / stack.shape[-1], gamma)
+    return out if values.ndim == 3 else out[0]
 
 
-def _blend(values: np.ndarray, g: float, target: float | np.ndarray) -> np.ndarray:
-    """(1 - g) C + g * target * I; ``target`` is one scalar or one value per row."""
-    if g == 0.0:
-        return values
-    return (1.0 - g) * values + g * target * np.eye(values.shape[0])
-
-
-def _shrunk(build: Callable[[float], np.ndarray], gamma: float | str) -> SpdMatrix:
-    """``SpdMatrix(build(g))`` at g = gamma, or for ``'auto'`` at the
-    smallest ladder level g whose result passes the SPD check."""
+def _shrunk(raw: np.ndarray, target: np.ndarray, gamma: float | str) -> list[SpdMatrix]:
+    """``SpdMatrix`` of each blend (1 - g) C + g * target * I of the stack
+    ``raw``, ``target`` (k, 1) or (k, dim), at g = gamma, or for ``'auto'``
+    at the smallest ladder level g whose blend passes the SPD check; only
+    the matrices that fail a level try the next."""
     if gamma != "auto":
         _validate_shrinkage(gamma)
-        return SpdMatrix(build(float(gamma)))
-    last_error = None
-    for g in AUTO_SHRINKAGE_LADDER:
-        try:
-            return SpdMatrix(build(g))
-        except NotPositiveDefiniteError as exc:
-            last_error = exc
+    out, rows = [None] * len(raw), list(range(len(raw)))
+    for g in AUTO_SHRINKAGE_LADDER if gamma == "auto" else (float(gamma),):
+        ridge = g * target[:, None, :] * np.eye(raw.shape[-1])
+        values, (vectors, w), ok = decompose(raw if g == 0.0 else (1.0 - g) * raw + ridge)
+        passed = ok.tolist()
+        for i, row in enumerate(rows):
+            if passed[i]:
+                out[row] = SpdMatrix._checked(values[i], Evd(vectors[i], w[i]))
+        failed = [i for i, p in enumerate(passed) if not p]
+        if not failed:
+            return out
+        error = not_positive_definite(w[failed[0]])
+        rows, raw, target = [rows[i] for i in failed], raw[failed], target[failed]
+    if gamma != "auto":
+        raise error
     raise NotPositiveDefiniteError(
         "no shrinkage level in the auto ladder produced a positive-definite "
         "matrix (is the input identically zero?)"
-    ) from last_error
+    ) from error
 
 
 def _stacked_cov(rows: list[np.ndarray]) -> np.ndarray:
     """Covariance of vertically stacked row groups, built block by block.
 
-    Each (i, j) block is rows[i] @ rows[j].T so that the diagonal blocks are
-    bit-identical to the blocks' standalone sample covariances.
+    A (channels, T) group is shared by all k super-trials, a (k, channels, T)
+    group holds one per super-trial.  Each (i, j) block is rows[i] @ rows[j].T
+    so the diagonal blocks are bit-identical to standalone sample covariances.
     """
-    t = rows[0].shape[1]
-    n = len(rows)
-    blocks: list[list[np.ndarray | None]] = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1):
-            blocks[i][j] = rows[i] @ rows[j].T
-            if j < i:
-                blocks[j][i] = blocks[i][j].T
-    c = np.block(blocks) / (t - 1)
-    return 0.5 * (c + c.T)
+    edges = list(accumulate((r.shape[-2] for r in rows), initial=0))
+    spans = [slice(a, b) for a, b in zip(edges, edges[1:])]
+    c = np.empty(max(r.shape[:-2] for r in rows) + (edges[-1], edges[-1]))
+    for i, a in enumerate(rows):
+        for j, b in enumerate(rows[: i + 1]):
+            c[..., spans[i], spans[j]] = block = a @ b.swapaxes(-1, -2)
+            c[..., spans[j], spans[i]] = block.swapaxes(-1, -2)
+    c /= rows[0].shape[-1] - 1
+    return 0.5 * (c + c.swapaxes(-1, -2))
 
 
-def super_trial_cov(rows: list[np.ndarray], shrinkage: float | str) -> SpdMatrix:
+def super_trial_cov(
+    rows: list[np.ndarray], shrinkage: float | str
+) -> SpdMatrix | list[SpdMatrix]:
     """Shrunk covariance X X^T / (T - 1) of the super-trial X = [rows; ...].
 
     Every row group is a zero-mean (channels, T) array over the same T
     samples, stacked top to bottom; a single group gives the plain spatial
-    sample covariance.
+    sample covariance.  Groups stacked as (k, channels, T) give a list of k.
     """
-    t = rows[0].shape[1]
-    for r in rows:
-        if r.shape[1] != t:
-            raise ContractError(
-                f"super-trial rows must share one sample count, got "
-                f"{[r.shape[1] for r in rows]}"
-            )
-    if t < 2:
+    counts = [r.shape[-1] for r in rows]
+    if len(set(counts)) > 1:
+        raise ContractError(f"super-trial rows must share one sample count, got {counts}")
+    if counts[0] < 2:
         raise ContractError("sample covariance needs at least 2 samples")
     return shrink(_stacked_cov(rows), shrinkage)
 
@@ -215,32 +221,29 @@ def build_prototypes(
     return protos
 
 
-def ssvep_block_cov(
-    bank: list[Epoch],
-    shrinkage: float | str = "auto",
-) -> SpdMatrix:
+def ssvep_block_cov(bank: list[Epoch], shrinkage: float | str = "auto") -> SpdMatrix:
     """Block-diagonal NF x NF covariance over a filter-bank output.
 
     Diagonal blocks are the per-band sample covariances, each blended
     toward its own scaled identity at one shared gamma; off-diagonal blocks
     are exactly zero.  The assembled matrix is checked once.
     """
-    if not bank:
-        raise ContractError("ssvep feature requires a nonempty filter bank")
-    n = bank[0].n_channels
-    t = bank[0].n_samples
-    for b in bank:
-        if b.n_channels != n or b.n_samples != t:
-            raise ContractError("filter-bank epochs must share channel/sample counts")
-    blocks = [_stacked_cov([b.data]) for b in bank]
-    raw = np.zeros((n * len(bank), n * len(bank)))
-    for i, c in enumerate(blocks):
-        raw[i * n : (i + 1) * n, i * n : (i + 1) * n] = c
-    target = np.repeat([np.trace(c) / n for c in blocks], n)
+    if not bank or len({b.data.shape for b in bank}) > 1:
+        raise ContractError("ssvep feature requires a nonempty filter bank of one shape")
+    return _block_cov([b.data[None] for b in bank], shrinkage)[0]
+
+
+def _block_cov(bands: list[np.ndarray], shrinkage: float | str) -> list[SpdMatrix]:
+    """:func:`ssvep_block_cov` of k epochs at once, each band a (k, n, T) stack."""
+    k, n = bands[0].shape[:2]
+    raw = np.zeros((k, n * len(bands), n * len(bands)))
+    for i, b in enumerate(bands):
+        raw[:, i * n : (i + 1) * n, i * n : (i + 1) * n] = _stacked_cov([b])
+    traces = raw.diagonal(axis1=1, axis2=2).reshape(k, len(bands), n).sum(axis=2)
     # 'auto' takes one ladder level for all bands: the smallest gamma that
     # makes the assembled matrix positive definite, so weak bands get a
     # floor commensurate with the global eigenvalue check.
-    return _shrunk(lambda g: _blend(raw, g, target), shrinkage)
+    return _shrunk(raw, np.repeat(traces / n, n, axis=1), shrinkage)
 
 
 def build_recipe(
@@ -279,33 +282,39 @@ def build_recipe(
     )
 
 
-def featurize(e: Epoch, recipe: FeatureRecipe) -> SpdMatrix:
-    """Build the recipe's feature matrix for one (preprocessed) epoch.
+def featurize(epochs: list[Epoch], recipe: FeatureRecipe) -> list[SpdMatrix]:
+    """Build the recipe's feature matrix for each (preprocessed) epoch.
 
-    Apart from SSVEP, the feature is one super-trial: the recipe's prototypes
-    stacked in ascending class id (none for motor imagery), then the epoch's
-    ``n_subjects`` equal channel groups, one trial per subject.  Prototype
-    blocks are constant across trials, the cross blocks carry what
-    discriminates the classes.
+    The epochs share one shape and sampling rate and are featurized as one
+    stack; one epoch is a stack of one.  Apart from SSVEP, the feature is one
+    super-trial: the recipe's prototypes stacked in ascending class id (none
+    for motor imagery), then the epoch's ``n_subjects`` equal channel groups,
+    one trial per subject.  Prototype blocks are constant across trials, the
+    cross blocks carry what discriminates the classes.
     """
+    if not epochs:
+        return []
+    shape, fs = epochs[0].data.shape, epochs[0].fs
+    if any(e.data.shape != shape or e.fs != fs for e in epochs):
+        raise ContractError("featurized epochs must share one shape and sampling rate")
+    data = np.array([e.data for e in epochs])
     if recipe.modality == SSVEP:
-        bank = ssvep_filter_bank(
-            e, list(recipe.freqs), width_hz=recipe.width_hz, order=recipe.order
-        )
-        return ssvep_block_cov(bank, recipe.shrinkage)
+        rows = Epoch(data.reshape(-1, shape[1]), fs=fs)
+        bank = ssvep_filter_bank(rows, list(recipe.freqs), recipe.width_hz, recipe.order)
+        return _block_cov([b.data.reshape(data.shape) for b in bank], recipe.shrinkage)
     m = recipe.n_subjects
-    n = e.n_channels // m
-    if n * m != e.n_channels:
+    n = shape[0] // m
+    if n * m != shape[0]:
         raise ContractError(
-            f"epoch of {e.n_channels} channels does not split into {m} subjects"
+            f"epoch of {shape[0]} channels does not split into {m} subjects"
         )
-    trials = [e.data[i * n : (i + 1) * n] for i in range(m)]
+    trials = [data[:, i * n : (i + 1) * n] for i in range(m)]
     protos = sorted(recipe.prototypes, key=lambda p: p.class_id)
     for p in protos:
-        if p.data.shape != trials[0].shape:
+        if p.data.shape != (n, shape[1]):
             raise ContractError(
                 f"prototype for class {p.class_id} has shape {p.data.shape}, "
-                f"trial has {trials[0].shape}"
+                f"trial has {(n, shape[1])}"
             )
     head = [np.concatenate([p.data for p in protos])] if protos else []
     return super_trial_cov(head + trials, recipe.shrinkage)

@@ -108,7 +108,7 @@ def fit(
     means = []
     counts = []
     for z in class_ids:
-        feats = [featurize(e, recipe) for e in by_class[z]]
+        feats = featurize(by_class[z], recipe)
         try:
             means.append(geometric_mean(feats, tol=tol, max_iter=max_iter))
         except MeanConvergenceError as exc:
@@ -126,9 +126,14 @@ def fit(
 
 def distances(model: MdmModel, e: Epoch) -> DistanceVector:
     """Affine-invariant distance from the epoch's feature matrix to each mean."""
-    feat = featurize(e, model.recipe)
-    values = np.array([riemann_distance(m, feat) for m in model.means])
-    return DistanceVector(values=values, class_ids=model.class_ids)
+    return stack_distances(model, [e])[0]
+
+
+def stack_distances(model: MdmModel, epochs: list[Epoch]) -> list[DistanceVector]:
+    """:func:`distances` of each epoch of a same-shape stack, featurized in one pass."""
+    feats = featurize(epochs, model.recipe)
+    values = [[riemann_distance(m, feat) for m in model.means] for feat in feats]
+    return [DistanceVector(np.array(v), model.class_ids) for v in values]
 
 
 def predict(model: MdmModel, e: Epoch) -> int:

@@ -4,7 +4,8 @@ Provides the manifold primitives used everywhere else in the package: one
 matrix type, ``SpdMatrix``, that symmetrizes its input and caches its
 eigendecomposition; its inverse and square roots from that decomposition;
 the affine-invariant (geodesic) distance, geodesic interpolation, and the
-geometric mean by Riemannian conjugate gradient.
+geometric mean by Riemannian conjugate gradient.  The array helpers take
+one matrix or a (k, dim, dim) stack, bit-identical to one matrix at a time.
 
 All public values are immutable after construction and every operation is
 a pure function, so everything here is safe to call concurrently.
@@ -42,7 +43,7 @@ class Evd(NamedTuple):
 
 
 def _symmetrize(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 def _eigh_descending(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -50,13 +51,29 @@ def _eigh_descending(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     try:
         w, u = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
-        raise EigenSolverError(a.shape[0]) from exc
-    return w[::-1].copy(), u[:, ::-1].copy()
+        raise EigenSolverError(a.shape[-1]) from exc
+    return w[..., ::-1].copy(), u[..., ::-1].copy()
 
 
 def _rebuild(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """U diag(w) U^T, symmetrized against rounding."""
-    return _symmetrize((u * w) @ u.T)
+    return _symmetrize((u * w[..., None, :]) @ u.swapaxes(-1, -2))
+
+
+def decompose(a: np.ndarray) -> tuple[np.ndarray, Evd, np.ndarray]:
+    """Symmetrized ``a``, its eigendecomposition and the SPD check per matrix."""
+    sym = _symmetrize(a)
+    if not np.isfinite(sym).all():
+        raise ContractError("matrix entries must be finite")
+    sym.flags.writeable = False
+    w, u = _eigh_descending(sym)
+    return sym, Evd(u, w), w[..., -1] > sym.shape[-1] * w[..., 0] * SPD_EIGENVALUE_RTOL
+
+
+def not_positive_definite(w: np.ndarray) -> NotPositiveDefiniteError:
+    """The error for a matrix whose descending eigenvalues ``w`` fail the check."""
+    message = "matrix is not positive definite: eigenvalues in"
+    return NotPositiveDefiniteError(f"{message} [{w[-1]:.6e}, {w[0]:.6e}] for dim {len(w)}")
 
 
 class SpdMatrix:
@@ -75,20 +92,17 @@ class SpdMatrix:
             raise ContractError(f"expected a square matrix, got shape {a.shape}")
         if a.shape[0] < 1:
             raise ContractError("matrix dimension must be >= 1")
-        sym = _symmetrize(a)
-        if not np.all(np.isfinite(sym)):
-            raise ContractError("matrix entries must be finite")
-        sym.flags.writeable = False
-        self.values = sym
-        w, u = _eigh_descending(sym)
-        if w[-1] <= self.dim * w[0] * SPD_EIGENVALUE_RTOL:
-            raise NotPositiveDefiniteError(
-                "matrix is not positive definite: eigenvalues in "
-                f"[{w[-1]:.6e}, {w[0]:.6e}] for dim {self.dim}"
-            )
-        self.eig = Evd(vectors=u, eigenvalues=w)
-        self._sqrt = None
-        self._inv_sqrt = None
+        sym, eig, ok = decompose(a)
+        if not ok:
+            raise not_positive_definite(eig.eigenvalues)
+        self.values, self.eig, self._sqrt, self._inv_sqrt = sym, eig, None, None
+
+    @classmethod
+    def _checked(cls, values: np.ndarray, eig: Evd) -> "SpdMatrix":
+        """One matrix of a stacked :func:`decompose` that passed the check."""
+        m = cls.__new__(cls)
+        m.values, m.eig, m._sqrt, m._inv_sqrt = values, eig, None, None
+        return m
 
     @property
     def dim(self) -> int:
@@ -199,7 +213,7 @@ def geometric_mean(
     if k == 1:
         return mats[0]
 
-    values = [m.values for m in mats]
+    values = np.stack([m.values for m in mats])
     start = np.mean(values, axis=0)
     w, u = _eigh_descending(start)
     if not w[-1] > 0.0:
@@ -241,15 +255,15 @@ def _step(frame, d: np.ndarray, alpha: float, values):
     return (new, *_mean_log(new[1], values))
 
 
-def _mean_log(whiten: np.ndarray, values: Sequence[np.ndarray]) -> tuple[np.ndarray, float]:
-    """G = mean_k ln(W C_k W^T), the mean log map at (W^T W)^-1 in the frame
-    W^-1, and its Frobenius norm (the residual)."""
+def _mean_log(whiten: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, float]:
+    """G = mean_k ln(W C_k W^T) over the stack ``values``, the mean log map at
+    (W^T W)^-1 in the frame W^-1, and its Frobenius norm (the residual)."""
+    w, u = _eigh_descending(_symmetrize(whiten @ values @ whiten.T))
+    if not np.all(w[:, -1] > 0.0):
+        raise NumericError("whitened matrix lost positive definiteness")
     total = np.zeros_like(whiten)
-    for value in values:
-        w, u = _eigh_descending(_symmetrize(whiten @ value @ whiten.T))
-        if not w[-1] > 0.0:
-            raise NumericError("whitened matrix lost positive definiteness")
-        total += _rebuild(u, np.log(w))
+    for log in _rebuild(u, np.log(w)):  # summed in the order of the one-matrix loop
+        total += log
     g = total / len(values)
     return g, float(np.linalg.norm(g))
 
@@ -262,7 +276,7 @@ def karcher_residual(mean: SpdMatrix, mats: Sequence[SpdMatrix]) -> float:
     """
     if len(mats) == 0:
         raise ContractError("residual over an empty set")
-    return _mean_log(mean._inv_sqrt_array(), [m.values for m in mats])[1]
+    return _mean_log(mean._inv_sqrt_array(), np.stack([m.values for m in mats]))[1]
 
 
 def _check_equal_dims(mats: Sequence[SpdMatrix]) -> int:

@@ -173,9 +173,9 @@ def test_criterion_3_feature_correctness():
     proto = Prototype(rng.standard_normal((6, 80)), class_id=1, n_epochs=3)
     e = Epoch(rng.standard_normal((6, 80)), fs=128.0)
     mu = featurize(
-        e, FeatureRecipe(MU_P300, prototypes=(proto,), shrinkage=1e-4)
-    ).values
-    p3 = featurize(e, FeatureRecipe(P300, prototypes=(proto,), shrinkage=1e-4)).values
+        [e], FeatureRecipe(MU_P300, prototypes=(proto,), shrinkage=1e-4)
+    )[0].values
+    p3 = featurize([e], FeatureRecipe(P300, prototypes=(proto,), shrinkage=1e-4))[0].values
     assert np.array_equal(mu, p3)
     report(3, "sample/super covariance block structure exact")
 

@@ -123,7 +123,7 @@ class TestAbsorb:
         fc = FusedClassifier(generic=generic_model(rng))
         e = epoch(rng)
         fc.absorb(fc.feature(e), 1)
-        expected = featurize(e, MI_RECIPE)
+        expected = featurize([e], MI_RECIPE)[0]
         np.testing.assert_array_equal(
             fc.individual_means[1].values, expected.values
         )
@@ -132,7 +132,7 @@ class TestAbsorb:
     def test_repeated_matrix_is_fixed_point(self, rng):
         fc = FusedClassifier(generic=generic_model(rng))
         e = epoch(rng)
-        feat = featurize(e, MI_RECIPE)
+        feat = featurize([e], MI_RECIPE)[0]
         for _ in range(10):
             fc.absorb(fc.feature(e), 0)
         assert riemann_distance(fc.individual_means[0], feat) <= 1e-9

@@ -510,6 +510,15 @@ def _mi_model_prototype(tmp_path, model, data):
     return _eval(tmp_path, bad, data), "takes no prototypes"
 
 
+def _mi_width_and_order(tmp_path, model, data):
+    return _fit(tmp_path, data) + ["--width", "3", "--order", "7"], "width_hz or order"
+
+
+def _mi_model_order(tmp_path, model, data):
+    bad = _rewritten_model(tmp_path, model, lambda doc: doc["recipe"].update(order=7))
+    return _eval(tmp_path, bad, data), "width_hz or order"
+
+
 def _p300_model_two_subjects(tmp_path, model, data):
     p300, p300_model = _fitted(tmp_path, "p300")
     bad = _rewritten_model(
@@ -537,7 +546,7 @@ def _negative_crossval_seed(tmp_path, model, data):
      _string_prototype_entry, _duplicate_class_ids, _negative_crossval_seed,
      _labels_not_class_ids, _stray_prototype_class, _repeated_fit_freqs,
      _repeated_model_freqs, _mi_freqs, _mi_model_prototype,
-     _p300_model_two_subjects] + _NOT_NUMBERS,
+     _p300_model_two_subjects, _mi_width_and_order, _mi_model_order] + _NOT_NUMBERS,
     ids=lambda case: case.__name__.lstrip("_"),
 )
 def test_bad_input_is_data_error(tmp_path, capsys, case):
@@ -574,6 +583,49 @@ def test_refused_band_prints_one_error_line(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
 
+# Synthesize, fit and evaluate a small P300 set, fit a small SSVEP set, and
+# print the sha256 of every file written, in order.
+_THREADS_SCRIPT = """
+import contextlib, hashlib, io, sys
+from riemann_bci.cli import main
+d = sys.argv[1] + "/"
+small = ["--trials", "6", "--channels", "4", "--seed", "2"]
+ssvep = ["--freqs", "12", "15", "20"]
+runs = [
+    (["synth", "--modality", "p300", "--samples", "64", *small], "p300.dat"),
+    (["fit", "--modality", "p300", "--in", d + "p300.dat"], "p300.json"),
+    (["eval", "--model", d + "p300.json", "--in", d + "p300.dat", "--report"], "p300.csv"),
+    (["synth", "--modality", "ssvep", "--samples", "256", *small, *ssvep], "ssvep.dat"),
+    (["fit", "--modality", "ssvep", "--in", d + "ssvep.dat", *ssvep], "ssvep.json"),
+]
+for argv, name in runs:
+    if argv[-1] != "--report":
+        argv.append("--out")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv + [d + name]) == 0
+    print(name, hashlib.sha256(open(d + name, "rb").read()).hexdigest())
+"""
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    """Stacked and one-matrix BLAS calls can take different paths; one and
+    two OpenBLAS threads write the same bytes."""
+    src = Path(riemann_bci.__file__).resolve().parents[1]
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-c", _THREADS_SCRIPT, str(out)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert len(digests[0].splitlines()) == 5
+    assert digests[0] == digests[1]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "argv, field",
@@ -597,6 +649,22 @@ def test_bad_synthetic_geometry_is_data_error(tmp_path, capsys, argv, field):
     assert run(argv + ["--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{field} must" in err, err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--fs", "1e-300", "--sessions", "1", "--levels", "1"],
+        ["synth", "--modality", "p300", "--fs", "1e-300"],
+    ],
+)
+def test_overflow_is_numeric_failure(tmp_path, capsys, argv):
+    """A sampling rate so small that generating the evoked response
+    overflows exits 4 with one line, instead of a warning and exit 0."""
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and "overflow" in err, err
 
 
 # Any float fit may be given on its command line.

@@ -41,11 +41,11 @@ def spatial_cov(e: Epoch, shrinkage: float | str = 0.0) -> SpdMatrix:
 
 def erp_feature(e: Epoch, protos, shrinkage: float | str = "auto") -> SpdMatrix:
     recipe = FeatureRecipe(ERP_MULTI, prototypes=tuple(protos), shrinkage=shrinkage)
-    return featurize(e, recipe)
+    return featurize([e], recipe)[0]
 
 
 def p300_feature(e: Epoch, proto, shrinkage: float | str = "auto") -> SpdMatrix:
-    return featurize(e, FeatureRecipe(P300, prototypes=(proto,), shrinkage=shrinkage))
+    return featurize([e], FeatureRecipe(P300, prototypes=(proto,), shrinkage=shrinkage))[0]
 
 
 def mu_p300_feature(epochs, proto, shrinkage: float | str = "auto") -> SpdMatrix:
@@ -54,7 +54,7 @@ def mu_p300_feature(epochs, proto, shrinkage: float | str = "auto") -> SpdMatrix
     recipe = FeatureRecipe(
         MU_P300, prototypes=(proto,), shrinkage=shrinkage, n_subjects=len(epochs)
     )
-    return featurize(stacked, recipe)
+    return featurize([stacked], recipe)[0]
 
 
 class TestSampleCovariance:
@@ -426,7 +426,7 @@ class TestFeaturizeAndRecipe:
     def test_mi_dispatch(self, rng):
         e = Epoch(rng.standard_normal((4, 100)), fs=128.0)
         recipe = FeatureRecipe(modality=MI, shrinkage=0.0)
-        out = featurize(e, recipe)
+        out = featurize([e], recipe)[0]
         np.testing.assert_array_equal(out.values, spatial_cov(e).values)
         assert out.dim == 4
 
@@ -434,18 +434,18 @@ class TestFeaturizeAndRecipe:
         proto = Prototype(rng.standard_normal((4, 80)), class_id=1, n_epochs=1)
         recipe = FeatureRecipe(modality=P300, prototypes=(proto,))
         e = Epoch(rng.standard_normal((4, 80)), fs=128.0)
-        assert featurize(e, recipe).dim == 8
+        assert featurize([e], recipe)[0].dim == 8
 
     def test_ssvep_dispatch_dims(self, rng):
         recipe = FeatureRecipe(modality=SSVEP, freqs=(12.0, 15.0, 20.0))
         e = Epoch(rng.standard_normal((6, 512)), fs=512.0)
-        assert featurize(e, recipe).dim == 18
+        assert featurize([e], recipe)[0].dim == 18
 
     def test_mu_dispatch_splits_stacked_channels(self, rng):
         proto = Prototype(rng.standard_normal((3, 60)), class_id=1, n_epochs=1)
         recipe = FeatureRecipe(modality=MU_P300, prototypes=(proto,), n_subjects=2)
         stacked = Epoch(rng.standard_normal((6, 60)), fs=128.0)
-        assert featurize(stacked, recipe).dim == 9
+        assert featurize([stacked], recipe)[0].dim == 9
 
     def test_every_builder_returns_spd(self, rng):
         proto = Prototype(rng.standard_normal((4, 30)), class_id=1, n_epochs=1)
@@ -457,7 +457,7 @@ class TestFeaturizeAndRecipe:
             FeatureRecipe(modality=SSVEP, freqs=(12.0, 15.0)),
         ]
         for recipe in recipes:
-            assert isinstance(featurize(e, recipe), SpdMatrix)
+            assert isinstance(featurize([e], recipe)[0], SpdMatrix)
 
     def test_recipe_validation(self):
         with pytest.raises(ContractError):
@@ -484,12 +484,12 @@ class TestFeaturizeAndRecipe:
         proto = Prototype(rng.standard_normal((3, 60)), class_id=1, n_epochs=1)
         four = Epoch(rng.standard_normal((4, 60)), fs=128.0)
         with pytest.raises(ContractError, match="prototype for class 1 has shape"):
-            featurize(four, FeatureRecipe(P300, prototypes=(proto,)))
+            featurize([four], FeatureRecipe(P300, prototypes=(proto,)))[0]
         two = FeatureRecipe(MU_P300, prototypes=(proto,), n_subjects=2)
         with pytest.raises(ContractError, match="prototype for class 1 has shape"):
-            featurize(Epoch(rng.standard_normal((8, 60)), fs=128.0), two)
+            featurize([Epoch(rng.standard_normal((8, 60)), fs=128.0)], two)[0]
         with pytest.raises(ContractError, match="does not split into 2 subjects"):
-            featurize(Epoch(rng.standard_normal((7, 60)), fs=128.0), two)
+            featurize([Epoch(rng.standard_normal((7, 60)), fs=128.0)], two)[0]
 
 
 # Integer-valued inputs keep every non-SSVEP covariance sum exact; the SSVEP
@@ -504,7 +504,7 @@ def golden_feature(modality: str, shrinkage: float | str) -> SpdMatrix:
 
     if modality == SSVEP:
         recipe = FeatureRecipe(SSVEP, freqs=(12.0, 15.0, 20.0), shrinkage=shrinkage)
-        return featurize(Epoch(ints(4, 128), fs=128.0), recipe)
+        return featurize([Epoch(ints(4, 128), fs=128.0)], recipe)[0]
     class_ids = (2, 1) if modality == ERP_MULTI else (2,)  # stacked as (1, 2)
     protos = tuple(Prototype(ints(4), class_id=z, n_epochs=3) for z in class_ids)
     n_subjects = 2 if modality == MU_P300 else 1
@@ -514,7 +514,7 @@ def golden_feature(modality: str, shrinkage: float | str) -> SpdMatrix:
         shrinkage=shrinkage,
         n_subjects=n_subjects,
     )
-    return featurize(Epoch(ints(4 * n_subjects), fs=128.0), recipe)
+    return featurize([Epoch(ints(4 * n_subjects), fs=128.0)], recipe)[0]
 
 
 # sha256 of every golden feature's bytes, at a fixed shrinkage and at 'auto'.
@@ -537,3 +537,162 @@ def test_feature_bytes_are_pinned(modality, shrinkage):
     """Every stacking rule and both shrinkage paths keep their exact bytes."""
     values = golden_feature(modality, shrinkage).values
     assert hashlib.sha256(values.tobytes()).hexdigest() == FEATURE_SHA256[modality, shrinkage]
+
+
+# The per-epoch featurize body this package had before features were built as
+# stacks: np.block super-trials and one SPD check per matrix and ladder level.
+def _per_epoch_stacked_cov(rows):
+    t = rows[0].shape[1]
+    n = len(rows)
+    blocks = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            blocks[i][j] = rows[i] @ rows[j].T
+            if j < i:
+                blocks[j][i] = blocks[i][j].T
+    c = np.block(blocks) / (t - 1)
+    return 0.5 * (c + c.T)
+
+
+def _per_epoch_shrunk(raw, target, gamma):
+    """The SPD blend and the ladder level it took."""
+    for g in AUTO_SHRINKAGE_LADDER if gamma == "auto" else (float(gamma),):
+        blend = raw if g == 0.0 else (1.0 - g) * raw + g * target * np.eye(raw.shape[0])
+        try:
+            return SpdMatrix(blend), g
+        except NotPositiveDefiniteError:
+            if gamma != "auto":
+                raise
+    raise NotPositiveDefiniteError("no ladder level passed")
+
+
+def per_epoch_feature(e: Epoch, recipe: FeatureRecipe):
+    """One epoch's feature, the old way, and the shrinkage level it took."""
+    if recipe.modality == SSVEP:
+        bank = ssvep_filter_bank(
+            e, list(recipe.freqs), width_hz=recipe.width_hz, order=recipe.order
+        )
+        n = e.n_channels
+        blocks = [_per_epoch_stacked_cov([b.data]) for b in bank]
+        raw = np.zeros((n * len(bank), n * len(bank)))
+        for i, c in enumerate(blocks):
+            raw[i * n : (i + 1) * n, i * n : (i + 1) * n] = c
+        target = np.repeat([np.trace(c) / n for c in blocks], n)
+        return _per_epoch_shrunk(raw, target, recipe.shrinkage)
+    m = recipe.n_subjects
+    n = e.n_channels // m
+    trials = [e.data[i * n : (i + 1) * n] for i in range(m)]
+    protos = sorted(recipe.prototypes, key=lambda p: p.class_id)
+    head = [np.concatenate([p.data for p in protos])] if protos else []
+    raw = _per_epoch_stacked_cov(head + trials)
+    return _per_epoch_shrunk(raw, np.trace(raw) / raw.shape[0], recipe.shrinkage)
+
+
+def assert_same_bits(stacked, oracle):
+    assert len(stacked) == len(oracle)
+    for a, (b, _) in zip(stacked, oracle):
+        for x, y in (
+            (a.values, b.values),
+            (a.eig.eigenvalues, b.eig.eigenvalues),
+            (a.eig.vectors, b.eig.vectors),
+        ):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def float_epochs(rng, k, n, t, fs=128.0):
+    return [Epoch(rng.standard_normal((n, t)), fs=fs) for _ in range(k)]
+
+
+def stack_recipes(rng, n, t):
+    """One recipe per modality over n-channel, t-sample trials."""
+    protos = tuple(
+        Prototype(rng.standard_normal((n, t)), class_id=z, n_epochs=3) for z in (2, 1)
+    )
+    return {
+        MI: lambda g: FeatureRecipe(MI, shrinkage=g),
+        ERP_MULTI: lambda g: FeatureRecipe(ERP_MULTI, prototypes=protos, shrinkage=g),
+        P300: lambda g: FeatureRecipe(P300, prototypes=protos[:1], shrinkage=g),
+        SSVEP: lambda g: FeatureRecipe(SSVEP, freqs=(12.0, 15.0, 20.0), shrinkage=g),
+        MU_P300: lambda g: FeatureRecipe(
+            MU_P300, prototypes=protos[:1], shrinkage=g, n_subjects=2
+        ),
+    }
+
+
+class TestStackedFeaturize:
+    """A stack of epochs gives, bit for bit, what the per-epoch body gave
+    each epoch: values and both halves of the eigendecomposition."""
+
+    @pytest.mark.parametrize("shrinkage", ["auto", 1e-2])
+    @pytest.mark.parametrize("modality", MODALITIES)
+    @pytest.mark.parametrize("k", [1, 12])
+    def test_matches_per_epoch_body(self, rng, modality, shrinkage, k):
+        n, t = 8, 128
+        recipe = stack_recipes(rng, n, t)[modality](shrinkage)
+        rows = 2 * n if modality == MU_P300 else n
+        epochs = float_epochs(rng, k, rows, t)
+        assert_same_bits(
+            featurize(epochs, recipe), [per_epoch_feature(e, recipe) for e in epochs]
+        )
+
+    def test_ssvep_rows_climb_the_ladder_alone(self, rng):
+        """Rank-2 epochs; every other one carries a 15 Hz component 1e4 times
+        the noise, so its band powers differ enough that 1e-8 fails."""
+        t = np.arange(256) / 128.0
+        epochs = []
+        for i in range(8):
+            sources = rng.standard_normal((2, 256))
+            if i % 2:
+                sources[0] += 1e4 * np.sin(2 * np.pi * 15.0 * t)
+            epochs.append(Epoch(rng.standard_normal((6, 2)) @ sources, fs=128.0))
+        recipe = FeatureRecipe(SSVEP, freqs=(10.0, 15.0, 30.0), shrinkage="auto")
+        oracle = [per_epoch_feature(e, recipe) for e in epochs]
+        levels = [g for _, g in oracle]
+        assert levels[::2] == [AUTO_SHRINKAGE_LADDER[0]] * 4
+        assert min(levels[1::2]) > AUTO_SHRINKAGE_LADDER[0]
+        assert_same_bits(featurize(epochs, recipe), oracle)
+
+    def test_empty_stack(self):
+        assert featurize([], FeatureRecipe(MI)) == []
+
+    def test_mixed_shapes_refused(self, rng):
+        epochs = float_epochs(rng, 1, 4, 60) + float_epochs(rng, 1, 4, 61)
+        with pytest.raises(ContractError, match="share one shape"):
+            featurize(epochs, FeatureRecipe(MI))
+
+    def test_mixed_rates_refused(self, rng):
+        epochs = float_epochs(rng, 1, 4, 256) + float_epochs(rng, 1, 4, 256, fs=256.0)
+        with pytest.raises(ContractError, match="sampling rate"):
+            featurize(epochs, FeatureRecipe(SSVEP, freqs=(12.0,)))
+
+    def test_shrink_stack_is_per_matrix_shrink(self, rng):
+        stack = np.stack([random_spd(rng, 5).values for _ in range(4)])
+        stack[1] = 0.0  # fails every level alone, so the stack is refused
+        with pytest.raises(NotPositiveDefiniteError, match="auto ladder"):
+            shrink(stack, "auto")
+        with pytest.raises(NotPositiveDefiniteError, match=r"eigenvalues in \[0"):
+            shrink(stack, 1e-3)
+        stack[1] = stack[0][:, :1] @ stack[0][:1]
+        for gamma in ("auto", 1e-3):
+            for a, c in zip(shrink(stack, gamma), stack):
+                assert a.values.tobytes() == shrink(c, gamma).values.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.integers(1, 99),
+    rank=st.integers(1, 99),
+    exponent=st.integers(-40, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_auto_is_the_first_level_below_dim_100(dim, rank, exponent, seed):
+    """The 'auto' rule, decided: for a nonzero PSD matrix of any rank and
+    dim <= 99 the first ladder level always passes the SPD check."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-8, 9, size=(dim, min(rank, dim))).astype(float) * 2.0**exponent
+    c = x @ x.T
+    if not np.trace(c) > 0.0:
+        return
+    auto, first = shrink(c, "auto"), shrink(c, AUTO_SHRINKAGE_LADDER[0])
+    assert auto.values.tobytes() == first.values.tobytes()
+    assert auto.eig.vectors.tobytes() == first.eig.vectors.tobytes()

@@ -93,7 +93,7 @@ class TestFit:
 class TestDistancesPredict:
     def test_zero_distance_to_own_mean(self, rng):
         e = mi_epochs(rng)
-        feat = featurize(e, MI_RECIPE)
+        feat = featurize([e], MI_RECIPE)[0]
         model = model_from_means([feat, random_spd(rng, 4)])
         dv = mdm.distances(model, e)
         assert dv.values[0] <= 1e-10

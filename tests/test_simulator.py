@@ -111,9 +111,9 @@ class TestRunLevel:
         (level,) = make_level_specs(config, session_seed=3)
         featurized = []
 
-        def counted(e, recipe):
-            featurized.append(e)
-            return featurize(e, recipe)
+        def counted(epochs, recipe):
+            featurized.extend(epochs)
+            return featurize(epochs, recipe)
 
         monkeypatch.setattr(adaptive, "featurize", counted)
         result = run_level(level, FusedClassifier(generic=generic), ADAPTIVE)

@@ -263,16 +263,17 @@ class TestGeometricMean:
     def test_eigensolver_budget(self, monkeypatch):
         """One criterion-5 class mean (50 P300 features of 16x16 at auto
         shrinkage) took 2652 eigendecompositions by fixed-point iteration;
-        conjugate gradient needs about a third of that."""
+        conjugate gradient needs about a third of that.  A stacked call
+        counts each matrix of its stack."""
         train = [demean(e) for e in generate_p300(SyntheticSpec(trials_per_class=50, seed=0))[0]]
         recipe = build_recipe(P300, training=train, shrinkage="auto")
-        feats = [featurize(e, recipe) for e in train if e.label == 0]
+        feats = [featurize([e], recipe)[0] for e in train if e.label == 0]
         assert (len(feats), feats[0].dim) == (50, 16)
         calls = []
         real_eigh = np.linalg.eigh
 
         def counting_eigh(a):
-            calls.append(a.shape)
+            calls.extend([a.shape[-2:]] * int(np.prod(a.shape[:-2])))
             return real_eigh(a)
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
@@ -329,3 +330,53 @@ class TestGeometricMean:
             np.testing.assert_allclose(iterations[i][1], direction, rtol=1e-12, atol=0.0)
         assert restarts >= 1
         assert karcher_residual(out, mats) < 1e-8 * 2
+
+
+def per_matrix_mean_log(whiten, values):
+    """The mean log map as this package computed it before stacks: one
+    eigendecomposition and one rebuild per matrix, summed from zeros."""
+    total = np.zeros_like(whiten)
+    for value in values:
+        a = whiten @ value @ whiten.T
+        w, u = np.linalg.eigh(0.5 * (a + a.T))
+        w, u = w[::-1].copy(), u[:, ::-1].copy()
+        if not w[-1] > 0.0:
+            raise NumericError("whitened matrix lost positive definiteness")
+        r = (u * np.log(w)) @ u.T
+        total += 0.5 * (r + r.T)
+    g = total / len(values)
+    return g, float(np.linalg.norm(g))
+
+
+class TestStackedMeanLog:
+    """The stacked mean log map and the mean built on it are bit-identical
+    to the per-matrix loop."""
+
+    @pytest.fixture
+    def p300_class(self):
+        train = [demean(e) for e in generate_p300(SyntheticSpec(trials_per_class=50, seed=4))[0]]
+        recipe = build_recipe(P300, training=train, shrinkage="auto")
+        return featurize([e for e in train if e.label == 1], recipe)
+
+    def test_mean_log_matches_loop(self, rng, p300_class):
+        values = np.stack([m.values for m in p300_class])
+        whiten = random_invertible(rng, values.shape[-1]) * 0.1
+        g, residual = spd._mean_log(whiten, values)
+        g0, residual0 = per_matrix_mean_log(whiten, values)
+        assert g.tobytes() == g0.tobytes() and residual == residual0
+
+    @pytest.mark.parametrize("dim, k", [(16, 50), (18, 4), (3, 2)])
+    def test_geometric_mean_matches_loop(self, rng, monkeypatch, p300_class, dim, k):
+        mats = p300_class if dim == 16 else [random_spd(rng, dim, cond=1e4) for _ in range(k)]
+        stacked = geometric_mean(mats)
+        monkeypatch.setattr(spd, "_mean_log", per_matrix_mean_log)
+        looped = geometric_mean(mats)
+        assert stacked.values.tobytes() == looped.values.tobytes()
+        assert karcher_residual(stacked, mats) == per_matrix_mean_log(
+            stacked._inv_sqrt_array(), [m.values for m in mats]
+        )[1]
+
+    def test_lost_definiteness_in_any_matrix_is_numeric_error(self):
+        values = np.stack([np.eye(2), np.diag([1.0, -1.0])])
+        with pytest.raises(NumericError):
+            spd._mean_log(np.eye(2), values)
