@@ -10,10 +10,10 @@ way, from the generic model alone: no individual model is carried from
 one session into the next.
 
 Both classifiers share one feature recipe, so an epoch is featurized
-once (:meth:`FusedClassifier.feature`) and that one matrix is both
-scored and absorbed.  The two outputs are fused by a weighted sum of
-per-class distances, each vector first normalized by its own class sum
-to make the two scales commensurable.
+once, in its repetition's stack (:func:`simulator.run_level`), and that
+one matrix is both scored and absorbed.  The two outputs are fused by a
+weighted sum of per-class distances, each vector first normalized by its
+own class sum to make the two scales commensurable.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError
-from .features import featurize
 from .mdm import DistanceVector, MdmModel
-from .preprocessing import Epoch
 from .spd import SpdMatrix, geodesic, riemann_distance
+# Unused here, but perfbench/tracer.py wraps the adaptive.featurize binding.
+from .features import featurize  # noqa: F401
 # Unused here, but perfbench/tracer.py wraps the adaptive.geometric_mean binding.
 from .spd import geometric_mean  # noqa: F401
 
@@ -65,14 +65,9 @@ class FusedClassifier:
         """Individual-classifier weight min(1, n_rep / ramp)."""
         return min(1.0, self.n_rep / self.ramp)
 
-    def feature(self, e: Epoch) -> SpdMatrix:
-        """The epoch's feature matrix under the shared recipe; the input of
-        :meth:`fused_distances` and :meth:`absorb`, built once per epoch."""
-        return featurize([e], self.generic.recipe)[0]
-
     def fused_distances(self, feat: SpdMatrix) -> DistanceVector:
         """Per-class weighted sum of the two classifiers' distance profiles
-        to one feature matrix (see :meth:`feature`).
+        to one feature matrix under the generic model's recipe.
 
         Each classifier's vector is divided by its own sum across classes
         before mixing, so d = (1-alpha) g + alpha i compares shapes, not
@@ -99,8 +94,8 @@ class FusedClassifier:
     def absorb(
         self, feat: SpdMatrix, true_label: int, rep_increment: float = 1.0
     ) -> "FusedClassifier":
-        """Fold one supervised feature matrix (see :meth:`feature`) into the
-        individual classifier.
+        """Fold one supervised feature matrix (under the generic model's
+        recipe) into the individual classifier.
 
         The first feature of a class becomes that class's mean; afterwards
         the mean moves along the geodesic toward the new feature matrix by
@@ -116,7 +111,7 @@ class FusedClassifier:
         if not isinstance(feat, SpdMatrix):
             raise ContractError(
                 f"absorb takes a feature matrix, got {type(feat).__name__}; "
-                "map an epoch with feature() first"
+                "featurize the epoch with the generic model's recipe first"
             )
         count = self.individual_counts.get(true_label, 0)
         if count == 0:

@@ -10,8 +10,6 @@ modalities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable
 
 import numpy as np
 from scipy.stats import rankdata
@@ -131,9 +129,13 @@ def distances(model: MdmModel, e: Epoch) -> DistanceVector:
 
 def stack_distances(model: MdmModel, epochs: list[Epoch]) -> list[DistanceVector]:
     """:func:`distances` of each epoch of a same-shape stack, featurized in one pass."""
-    feats = featurize(epochs, model.recipe)
-    values = [[riemann_distance(m, feat) for m in model.means] for feat in feats]
-    return [DistanceVector(np.array(v), model.class_ids) for v in values]
+    return [feature_distances(model, feat) for feat in featurize(epochs, model.recipe)]
+
+
+def feature_distances(model: MdmModel, feat: SpdMatrix) -> DistanceVector:
+    """Affine-invariant distance from one feature matrix to each class mean."""
+    values = [riemann_distance(m, feat) for m in model.means]
+    return DistanceVector(np.array(values), model.class_ids)
 
 
 def predict(model: MdmModel, e: Epoch) -> int:
@@ -171,17 +173,12 @@ def target_contrast(dv: DistanceVector) -> float:
     return float(dv.values[target] - dv.values[1 - target])
 
 
-def add_repetition(
-    totals: dict[int, float],
-    repetition: dict,
-    score: Callable[[Epoch], DistanceVector] | Callable[[SpdMatrix], DistanceVector],
-) -> int:
+def add_repetition(totals: dict, repetition: dict[int, DistanceVector]) -> int:
     """Add each item's target contrast to ``totals`` and pick the lowest total.
 
-    ``repetition`` maps item id -> what ``score`` takes (an epoch, or a
-    feature matrix for a fused classifier); the first one (``totals``
-    empty) fixes the item set, which every later one must cover.  Ties go
-    to the lowest item id.
+    ``repetition`` maps item id -> that item's distance vector; the first
+    one (``totals`` empty) fixes the item set, which every later one must
+    cover.  Ties go to the lowest item id.
     """
     items = sorted(repetition)
     if not items:
@@ -191,7 +188,7 @@ def add_repetition(
     elif sorted(totals) != items:
         raise ContractError("every repetition must cover the same item set")
     for item in items:
-        totals[item] += target_contrast(score(repetition[item]))
+        totals[item] += target_contrast(repetition[item])
     return min(totals, key=lambda item: (totals[item], item))
 
 
@@ -200,9 +197,9 @@ def cumulative_select(model: MdmModel, repetitions: list[dict]):
     if not repetitions:
         raise ContractError("need at least one repetition")
     totals: dict[int, float] = {}
-    score = partial(distances, model)
     for rep in repetitions:
-        selected = add_repetition(totals, rep, score)
+        scored = stack_distances(model, list(rep.values()))
+        selected = add_repetition(totals, dict(zip(rep, scored)))
     return selected
 
 

@@ -10,8 +10,9 @@ to destroy the target).
 
 In adaptive mode the repetition's labeled epochs are absorbed into the
 individual classifier only after its selection has been used, so the
-reported performance is never biased by the data it is tested on; each
-item epoch is featurized once, for both its score and its absorption.
+reported performance is never biased by the data it is tested on.  Each
+repetition's item epochs are featurized as one stack, and each item's
+feature is both scored and absorbed.
 """
 
 from __future__ import annotations
@@ -28,8 +29,10 @@ from .adaptive import DEFAULT_RAMP, FusedClassifier
 from .datasets import SyntheticSpec, generate_p300, p300_trial, _mixing
 from .errors import ContractError
 from .features import DEFAULT_ERP_SHRINKAGE, P300, build_recipe
-from .mdm import MdmModel, add_repetition, distances
+from .mdm import MdmModel, add_repetition, feature_distances
 from .preprocessing import Epoch, demean
+# Unused here, but perfbench/tracer.py wraps the simulator.distances binding.
+from .mdm import distances  # noqa: F401
 
 ADAPTIVE = "adaptive"
 NON_ADAPTIVE = "non-adaptive"
@@ -96,13 +99,11 @@ def run_level(spec: LevelSpec, clf, mode: str) -> LevelResult:
     if mode not in (ADAPTIVE, NON_ADAPTIVE):
         raise ContractError(f"unknown mode {mode!r}")
     if isinstance(clf, FusedClassifier):
-        # one feature per item epoch, both scored and absorbed
-        item_input, score = clf.feature, clf.fused_distances
-        class_ids = clf.generic.class_ids
+        model, score = clf.generic, clf.fused_distances
     elif mode == ADAPTIVE:
         raise ContractError("adaptive mode needs a FusedClassifier")
     else:
-        item_input, score, class_ids = (lambda e: e), partial(distances, clf), clf.class_ids
+        model, score = clf, partial(feature_distances, clf)
     cumulative: dict[int, float] = {}
     selections: list[int] = []
     for rep in range(spec.max_repetitions):
@@ -112,13 +113,17 @@ def run_level(spec: LevelSpec, clf, mode: str) -> LevelResult:
                 f"source yielded {len(epochs_by_item)} items for a "
                 f"{spec.n_items}-item level"
             )
-        repetition = {item: item_input(e) for item, e in epochs_by_item.items()}
-        selections.append(add_repetition(cumulative, repetition, score))
+        # one featurize per repetition, through the mdm binding perfbench/tracer.py
+        # wraps; each feature is both scored and absorbed
+        items = sorted(epochs_by_item)
+        feats = mdm_mod.featurize([epochs_by_item[i] for i in items], model.recipe)
+        scored = {item: score(feat) for item, feat in zip(items, feats)}
+        selections.append(add_repetition(cumulative, scored))
         if mode == ADAPTIVE:
             # supervised update, applied only after the selection was used
-            for item in cumulative:
-                label = max(class_ids) if item == spec.target else min(class_ids)
-                clf.absorb(repetition[item], label, rep_increment=1.0 / spec.n_items)
+            for item, feat in zip(items, feats):
+                label = model.class_ids[-1] if item == spec.target else model.class_ids[0]
+                clf.absorb(feat, label, rep_increment=1.0 / spec.n_items)
         if selections[-1] == spec.target:
             break
     return LevelResult(selections=tuple(selections), mode=mode, target=spec.target)
@@ -309,8 +314,9 @@ def make_level_specs(
             flags = [item == target for item in range(config.n_items) for _ in range(2)]
             flashes = p300_trial(rng, subject, flags, mixing)
             averaged = 0.5 * (flashes[0::2] + flashes[1::2])
+            averaged -= averaged.mean(axis=-1, keepdims=True)
             return {
-                item: demean(Epoch(x, fs=subject.fs, label=int(item == target)))
+                item: Epoch(x, fs=subject.fs, label=int(item == target))
                 for item, x in enumerate(averaged)
             }
 

@@ -24,6 +24,11 @@ def generic_model(rng):
     return mdm.fit(train, MI_RECIPE)
 
 
+def feature(fc, e):
+    """The epoch's feature under the fused classifier's recipe, a stack of one."""
+    return featurize([e], fc.generic.recipe)[0]
+
+
 def individual_model(fc):
     """The fused classifier's individual means as a stand-alone MDM model."""
     class_ids = fc.generic.class_ids
@@ -68,22 +73,22 @@ class TestFusedDistances:
         fc = FusedClassifier(generic=model)
         for _ in range(5):
             e = epoch(rng)
-            fused = fc.fused_distances(fc.feature(e))
+            fused = fc.fused_distances(feature(fc, e))
             plain = mdm.distances(model, e)
             assert np.argsort(fused.values).tolist() == np.argsort(plain.values).tolist()
-            assert fc.fused_distances(fc.feature(e)).argmin_class() == mdm.predict(model, e)
+            assert fc.fused_distances(feature(fc, e)).argmin_class() == mdm.predict(model, e)
 
     def test_alpha_one_matches_individual_ranking(self, rng):
         model = generic_model(rng)
         fc = FusedClassifier(generic=model, ramp=1)
         ind_train = [epoch(rng, label=z) for z in (0, 0, 1, 1)]
         for e in ind_train:
-            fc.absorb(fc.feature(e), e.label, rep_increment=1.0)
+            fc.absorb(feature(fc, e), e.label, rep_increment=1.0)
         assert fc.alpha == 1.0
         individual = individual_model(fc)
         for _ in range(5):
             e = epoch(rng)
-            fused = fc.fused_distances(fc.feature(e))
+            fused = fc.fused_distances(feature(fc, e))
             plain = mdm.distances(individual, e)
             assert fused.argmin_class() == plain.argmin_class()
 
@@ -93,7 +98,7 @@ class TestFusedDistances:
         # individual trained on the same data distribution: absorb the
         # generic training set itself so both models agree
         for e in [epoch(rng, label=z) for z in (0, 0, 1, 1)]:
-            fc.absorb(fc.feature(e), e.label, rep_increment=0.5)
+            fc.absorb(feature(fc, e), e.label, rep_increment=0.5)
         assert fc.alpha == 1.0
         fc.n_rep = 1.0
         assert fc.alpha == 0.5
@@ -103,26 +108,26 @@ class TestFusedDistances:
             g = mdm.distances(model, e)
             i = mdm.distances(individual, e)
             if g.argmin_class() == i.argmin_class():
-                assert fc.fused_distances(fc.feature(e)).argmin_class() == g.argmin_class()
+                assert fc.fused_distances(feature(fc, e)).argmin_class() == g.argmin_class()
 
     def test_positive_alpha_without_individual_errors(self, rng):
         fc = FusedClassifier(generic=generic_model(rng))
         fc.n_rep = 5
         with pytest.raises(ContractError):
-            fc.fused_distances(fc.feature(epoch(rng)))
+            fc.fused_distances(feature(fc, epoch(rng)))
 
     def test_partial_individual_still_errors(self, rng):
         fc = FusedClassifier(generic=generic_model(rng))
-        fc.absorb(fc.feature(epoch(rng)), 0, rep_increment=1.0)
+        fc.absorb(feature(fc, epoch(rng)), 0, rep_increment=1.0)
         with pytest.raises(ContractError):
-            fc.fused_distances(fc.feature(epoch(rng)))
+            fc.fused_distances(feature(fc, epoch(rng)))
 
 
 class TestAbsorb:
     def test_first_epoch_sets_mean_exactly(self, rng):
         fc = FusedClassifier(generic=generic_model(rng))
         e = epoch(rng)
-        fc.absorb(fc.feature(e), 1)
+        fc.absorb(feature(fc, e), 1)
         expected = featurize([e], MI_RECIPE)[0]
         np.testing.assert_array_equal(
             fc.individual_means[1].values, expected.values
@@ -134,13 +139,13 @@ class TestAbsorb:
         e = epoch(rng)
         feat = featurize([e], MI_RECIPE)[0]
         for _ in range(10):
-            fc.absorb(fc.feature(e), 0)
+            fc.absorb(feature(fc, e), 0)
         assert riemann_distance(fc.individual_means[0], feat) <= 1e-9
 
     def test_unknown_label_rejected(self, rng):
         fc = FusedClassifier(generic=generic_model(rng))
         with pytest.raises(ContractError):
-            fc.absorb(fc.feature(epoch(rng)), 9)
+            fc.absorb(feature(fc, epoch(rng)), 9)
 
     def test_raw_epoch_rejected(self, rng):
         fc = FusedClassifier(generic=generic_model(rng))
@@ -168,7 +173,7 @@ class TestAbsorb:
     def test_rep_increment_granularity(self, rng):
         fc = FusedClassifier(generic=generic_model(rng))
         for _ in range(12):
-            fc.absorb(fc.feature(epoch(rng)), 0, rep_increment=1.0 / 12.0)
+            fc.absorb(feature(fc, epoch(rng)), 0, rep_increment=1.0 / 12.0)
         assert fc.n_rep == pytest.approx(1.0)
 
     def test_replay_determinism(self, rng):
@@ -176,8 +181,8 @@ class TestAbsorb:
         fc1 = FusedClassifier(generic=generic_model(np.random.default_rng(1)))
         fc2 = FusedClassifier(generic=fc1.generic)
         for e, lab in stream:
-            fc1.absorb(fc1.feature(e), lab)
-            fc2.absorb(fc2.feature(e), lab)
+            fc1.absorb(feature(fc1, e), lab)
+            fc2.absorb(feature(fc2, e), lab)
         assert fc1.n_rep == fc2.n_rep
         for z in fc1.individual_means:
             np.testing.assert_array_equal(
@@ -188,7 +193,7 @@ class TestAbsorb:
         fc = FusedClassifier(generic=generic_model(rng))
         for _ in range(25):
             lab = int(rng.integers(0, 2))
-            fc.absorb(fc.feature(epoch(rng)), lab)
+            fc.absorb(feature(fc, epoch(rng)), lab)
         for mean in fc.individual_means.values():
             assert isinstance(mean, SpdMatrix)
 

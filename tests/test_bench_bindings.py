@@ -11,7 +11,12 @@ TRACER = ROOT / "perfbench" / "tracer.py"
 PACKAGE = ROOT / "src" / "riemann_bci"
 
 # (module, name) imported only so that the tracer can wrap that binding.
-TRACER_ONLY_IMPORTS = {("adaptive", "geometric_mean"), ("cli", "compare_modes")}
+TRACER_ONLY_IMPORTS = {
+    ("adaptive", "featurize"),
+    ("adaptive", "geometric_mean"),
+    ("cli", "compare_modes"),
+    ("simulator", "distances"),
+}
 
 
 def test_every_patched_binding_exists():

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -692,6 +693,43 @@ def test_fit_float_flags(fitted_models, data):
         argv = ["fit", "--modality", *modality, "--in", str(epochs),
                 "--out", str(Path(tmp) / "m.json")] + flags
         assert run(argv) in (0, 2, 3, 4)
+
+
+# Largest value drawn for each size flag of the generators: small enough
+# that every draw runs in milliseconds.
+GENERATOR_SIZES = {
+    "synth": {"--channels": 8, "--samples": 256, "--trials": 4, "--classes": 3},
+    "simulate": {"--channels": 8, "--samples": 256, "--items": 4, "--levels": 2,
+                 "--cap": 2},
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_generator_flags(data):
+    """``synth`` and ``simulate`` given any float, NaN, infinite or subnormal
+    ``--fs`` and ``--snr`` (and ``synth --freqs``), and small sizes, zero and
+    negatives included, write their output (0) or refuse the flags (2 usage,
+    3 data, 4 numeric) without an exception or a warning."""
+    command = data.draw(st.sampled_from(sorted(GENERATOR_SIZES)))
+    if command == "synth":
+        argv = ["synth", "--modality", data.draw(st.sampled_from(["mi", "p300", "ssvep"]))]
+        freqs = data.draw(st.lists(FLAG_FLOATS, min_size=1, max_size=3))
+        # the joined form keeps one negative value from reading as a flag
+        argv += [f"--freqs={freqs[0]!r}"] if len(freqs) == 1 else ["--freqs", *map(repr, freqs)]
+    else:
+        mode = data.draw(st.sampled_from(["adaptive", "non-adaptive", "both"]))
+        argv = ["simulate", "--mode", mode, "--sessions", "1"]
+    argv += [f"{flag}={data.draw(FLAG_FLOATS)!r}" for flag in ("--fs", "--snr")]
+    argv += [
+        f"{flag}={data.draw(st.integers(-2, largest))}"
+        for flag, largest in GENERATOR_SIZES[command].items()
+    ]
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(argv + ["--out", str(Path(tmp) / "out")])
+    assert code in (0, 2, 3, 4)
+    assert not caught, [str(w.message) for w in caught]
 
 
 # One of each kind of hostile JSON value: negative, float, huge, string,

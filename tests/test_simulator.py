@@ -1,10 +1,11 @@
 import csv
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
-from riemann_bci import adaptive, mdm, simulator
+from riemann_bci import mdm, simulator
 from riemann_bci.adaptive import FusedClassifier
 from riemann_bci.datasets import SyntheticSpec, generate_mi
 from riemann_bci.errors import ContractError
@@ -28,6 +29,37 @@ from riemann_bci.simulator import (
 )
 
 MI_RECIPE = FeatureRecipe(modality=MI, shrinkage=0.0)
+
+# sha256 of the selections of two default sessions replayed in both modes
+REPLAY_SHA256 = "a472287c4bfe7e23d12d14b8836b6995cc03dc3c8e68d8d91bf8bb928a990986"
+
+
+def feature(fc, e):
+    """The epoch's feature under the fused classifier's recipe, a stack of one."""
+    return featurize([e], fc.generic.recipe)[0]
+
+
+def per_item_selections(spec, clf, mode):
+    """Oracle for :func:`run_level`: the replay that featurized each item
+    epoch on its own, ``mdm.distances`` for a static model and a stack of
+    one scored by ``fused_distances`` for a fused classifier."""
+    fused = isinstance(clf, FusedClassifier)
+    class_ids = clf.generic.class_ids if fused else clf.class_ids
+    totals, selections = {}, []
+    for rep in range(spec.max_repetitions):
+        epochs = spec.epoch_source(rep)
+        feats = {item: feature(clf, e) for item, e in epochs.items()} if fused else {}
+        for item in sorted(epochs):
+            dv = clf.fused_distances(feats[item]) if fused else mdm.distances(clf, epochs[item])
+            totals[item] = totals.get(item, 0.0) + mdm.target_contrast(dv)
+        selections.append(min(totals, key=lambda item: (totals[item], item)))
+        if mode == ADAPTIVE:
+            for item in sorted(epochs):
+                label = max(class_ids) if item == spec.target else min(class_ids)
+                clf.absorb(feats[item], label, rep_increment=1.0 / spec.n_items)
+        if selections[-1] == spec.target:
+            break
+    return tuple(selections)
 
 
 def two_class_world(rng_seed=0, strength=100.0):
@@ -106,20 +138,64 @@ class TestRunLevel:
         assert r1 == r2
 
     def test_adaptive_level_featurizes_each_item_epoch_once(self, monkeypatch):
+        """In both modes a level makes one featurize call per repetition
+        played, on that repetition's n_items epochs, and featurizes no epoch
+        twice."""
         config = SyntheticSessionConfig(n_items=4, n_levels=1, max_repetitions=4)
         generic = synthetic_generic_model(config)
         (level,) = make_level_specs(config, session_seed=3)
-        featurized = []
+        stacks = []
 
         def counted(epochs, recipe):
-            featurized.extend(epochs)
+            stacks.append(list(epochs))
             return featurize(epochs, recipe)
 
-        monkeypatch.setattr(adaptive, "featurize", counted)
-        result = run_level(level, FusedClassifier(generic=generic), ADAPTIVE)
-        assert result.nrd > 1
-        assert len(featurized) == config.n_items * result.nrd
-        assert len({id(e) for e in featurized}) == len(featurized)
+        monkeypatch.setattr(mdm, "featurize", counted)
+        for clf, mode in ((FusedClassifier(generic=generic), ADAPTIVE), (generic, NON_ADAPTIVE)):
+            stacks.clear()
+            result = run_level(level, clf, mode)
+            assert result.nrd > 1
+            assert len(stacks) == result.nrd
+            assert all(len(stack) == config.n_items for stack in stacks)
+            featurized = [e for stack in stacks for e in stack]
+            assert len({id(e) for e in featurized}) == len(featurized)
+
+    def test_stacked_replay_matches_per_item_replay(self):
+        """One featurize per repetition selects what featurizing each item
+        epoch on its own selected, and a fused classifier absorbs the same
+        bits, level after level."""
+        config = SyntheticSessionConfig(n_items=5, n_levels=4, max_repetitions=4)
+        generic = synthetic_generic_model(config)
+        trained = simulator.calibrated_model(
+            synthetic_training_run(config), config.shrinkage
+        )
+        for seed in (0, 1):
+            levels = make_level_specs(config, session_seed=seed)
+            stacked, oracle = (FusedClassifier(generic=generic, ramp=3) for _ in range(2))
+            for level in levels:
+                for clf, oracle_clf, mode in (
+                    (stacked, oracle, ADAPTIVE),
+                    (trained, trained, NON_ADAPTIVE),
+                    (generic, generic, NON_ADAPTIVE),
+                ):
+                    result = run_level(level, clf, mode)
+                    assert result.selections == per_item_selections(level, oracle_clf, mode)
+            assert stacked.n_rep == oracle.n_rep > 0
+            assert stacked.individual_counts == oracle.individual_counts
+            for z in oracle.individual_means:
+                np.testing.assert_array_equal(
+                    stacked.individual_means[z].values, oracle.individual_means[z].values
+                )
+
+    def test_replay_selections_are_pinned(self):
+        replayed = [
+            [session, mode, [list(r.selections) for r in results]]
+            for session, mode, results, _ in replay_sessions(
+                SyntheticSessionConfig(), [0, 1], (ADAPTIVE, NON_ADAPTIVE)
+            )
+        ]
+        digest = hashlib.sha256(json.dumps(replayed).encode()).hexdigest()
+        assert digest == REPLAY_SHA256
 
     def test_selections_match_cumulative_select(self):
         # weak response on item 1, nominal target 4: the level runs to its
@@ -165,7 +241,7 @@ class TestRunSession:
                 for item in sorted(epochs):
                     label = 1 if item == level.target else 0
                     replayed.absorb(
-                        replayed.feature(epochs[item]),
+                        feature(replayed, epochs[item]),
                         label,
                         rep_increment=1.0 / level.n_items,
                     )
