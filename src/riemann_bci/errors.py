@@ -26,8 +26,8 @@ class EigenSolverError(NumericError):
 
 
 class MeanConvergenceError(NumericError):
-    """The geometric-mean conjugate-gradient solver hit its iteration cap
-    without reaching the residual tolerance."""
+    """The geometric-mean Newton solver hit its cap on trial steps without
+    reaching the residual tolerance."""
 
     def __init__(self, residual: float, iterations: int, context: str = ""):
         self.residual = residual
