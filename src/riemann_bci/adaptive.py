@@ -9,11 +9,11 @@ once enough personal data has been absorbed.  Every session starts this
 way, from the generic model alone: no individual model is carried from
 one session into the next.
 
-Both classifiers share one feature recipe, so an epoch is featurized
-once, in its repetition's stack (:func:`simulator.run_level`), and that
-one matrix is both scored and absorbed.  The two outputs are fused by a
-weighted sum of per-class distances, each vector first normalized by its
-own class sum to make the two scales commensurable.
+Both classifiers share one feature recipe, so a repetition's epochs are
+featurized once, as one stack (:func:`simulator.run_level`) that is scored
+in one call and then absorbed matrix by matrix.  The two outputs are fused
+by a weighted sum of per-class distances, each profile first normalized
+by its own class sum to make the two scales commensurable.
 """
 
 from __future__ import annotations
@@ -33,11 +33,11 @@ from .spd import geometric_mean  # noqa: F401
 DEFAULT_RAMP = 40
 
 
-def _normalized(values: np.ndarray) -> np.ndarray:
-    total = values.sum()
-    if total <= 0.0:
-        return values
-    return values / total
+def _profiles(means: list[SpdMatrix], feats: list[SpdMatrix]) -> np.ndarray:
+    """Each feature's row of distances to ``means``, over its sum if positive."""
+    table = np.stack([riemann_distance(m, feats) for m in means], axis=-1)
+    total = table.sum(axis=-1, keepdims=True)
+    return np.divide(table, total, out=table, where=total > 0.0)
 
 
 @dataclass
@@ -65,31 +65,26 @@ class FusedClassifier:
         """Individual-classifier weight min(1, n_rep / ramp)."""
         return min(1.0, self.n_rep / self.ramp)
 
-    def fused_distances(self, feat: SpdMatrix) -> DistanceVector:
+    def fused_distances(self, feats: list[SpdMatrix]) -> list[DistanceVector]:
         """Per-class weighted sum of the two classifiers' distance profiles
-        to one feature matrix under the generic model's recipe.
+        to each feature matrix of a stack, under the generic model's recipe.
 
-        Each classifier's vector is divided by its own sum across classes
-        before mixing, so d = (1-alpha) g + alpha i compares shapes, not
-        scales.  With alpha = 0 the generic profile is returned alone.
+        Each classifier's distances to a feature are divided by their sum
+        across classes before mixing, so d = (1-alpha) g + alpha i compares
+        shapes, not scales.  With alpha = 0 the generic profile is used alone.
         """
         alpha = self.alpha
         class_ids = self.generic.class_ids
-        fused = _normalized(
-            np.array([riemann_distance(m, feat) for m in self.generic.means])
-        )
-        if alpha == 0.0:
-            return DistanceVector(values=fused, class_ids=class_ids)
-        if any(z not in self.individual_means for z in class_ids):
-            raise ContractError(
-                "individual classifier has weight > 0 but has not observed "
-                "every class yet"
-            )
-        individual = np.array(
-            [riemann_distance(self.individual_means[z], feat) for z in class_ids]
-        )
-        fused = (1.0 - alpha) * fused + alpha * _normalized(individual)
-        return DistanceVector(values=fused, class_ids=class_ids)
+        fused = _profiles(self.generic.means, feats)
+        if alpha != 0.0:
+            if any(z not in self.individual_means for z in class_ids):
+                raise ContractError(
+                    "individual classifier has weight > 0 but has not observed "
+                    "every class yet"
+                )
+            individual = _profiles([self.individual_means[z] for z in class_ids], feats)
+            fused = (1.0 - alpha) * fused + alpha * individual
+        return [DistanceVector(row, class_ids) for row in fused]
 
     def absorb(
         self, feat: SpdMatrix, true_label: int, rep_increment: float = 1.0
@@ -113,13 +108,10 @@ class FusedClassifier:
                 f"absorb takes a feature matrix, got {type(feat).__name__}; "
                 "featurize the epoch with the generic model's recipe first"
             )
-        count = self.individual_counts.get(true_label, 0)
-        if count == 0:
-            self.individual_means[true_label] = feat
-        else:
-            self.individual_means[true_label] = geodesic(
-                self.individual_means[true_label], feat, 1.0 / (count + 1)
-            )
+        if feat.dim != self.generic.dim:
+            raise ContractError(f"feature dimension {feat.dim}, model dimension {self.generic.dim}")
+        means, count = self.individual_means, self.individual_counts.get(true_label, 0)
+        means[true_label] = geodesic(means[true_label], feat, 1.0 / (count + 1)) if count else feat
         self.individual_counts[true_label] = count + 1
         self.n_rep += rep_increment
         return self

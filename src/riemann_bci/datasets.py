@@ -35,6 +35,7 @@ from scipy import signal
 
 from .errors import ContractError, FileFormatError
 from .features import FeatureRecipe, Prototype
+from .mdm import MdmModel
 from .preprocessing import Epoch
 from .spd import SpdMatrix
 
@@ -263,8 +264,6 @@ def save_model(path, model) -> None:
 
 def load_model(path):
     """Read a model document; parse errors name the offending field."""
-    from .mdm import MdmModel
-
     where = "model document"
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -421,8 +420,11 @@ def p300_trial(
     Each trial takes its draws in turn (noise drive, its start column,
     background amplitude and latency, then a target's amplitude and
     latency), so a stack equals its trials generated one call at a time.
+    The nominal latency must lie inside the epoch, at or before its last sample.
     """
     k, n, t = len(targets), spec.n_channels, spec.n_samples
+    if not spec.latency_s * spec.fs <= t - 1:
+        raise ContractError(f"{t} samples at {spec.fs} Hz end before a {spec.latency_s} s latency")
     data = np.empty((k, n, t))
     bg_amp, bg_latency, amp, latency = [], [], [], []
     for i, is_target in enumerate(targets):

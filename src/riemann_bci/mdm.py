@@ -129,13 +129,13 @@ def distances(model: MdmModel, e: Epoch) -> DistanceVector:
 
 def stack_distances(model: MdmModel, epochs: list[Epoch]) -> list[DistanceVector]:
     """:func:`distances` of each epoch of a same-shape stack, featurized in one pass."""
-    return [feature_distances(model, feat) for feat in featurize(epochs, model.recipe)]
+    return feature_distances(model, featurize(epochs, model.recipe))
 
 
-def feature_distances(model: MdmModel, feat: SpdMatrix) -> DistanceVector:
-    """Affine-invariant distance from one feature matrix to each class mean."""
-    values = [riemann_distance(m, feat) for m in model.means]
-    return DistanceVector(np.array(values), model.class_ids)
+def feature_distances(model: MdmModel, feats: list[SpdMatrix]) -> list[DistanceVector]:
+    """Affine-invariant distances from each feature of a stack to the class means."""
+    table = np.stack([riemann_distance(m, feats) for m in model.means], axis=-1)
+    return [DistanceVector(row, model.class_ids) for row in table]
 
 
 def predict(model: MdmModel, e: Epoch) -> int:

@@ -11,8 +11,8 @@ to destroy the target).
 In adaptive mode the repetition's labeled epochs are absorbed into the
 individual classifier only after its selection has been used, so the
 reported performance is never biased by the data it is tested on.  Each
-repetition's item epochs are featurized as one stack, and each item's
-feature is both scored and absorbed.
+repetition's item epochs are featurized as one stack, the stack is scored
+in one call, and in adaptive mode its features are then absorbed.
 """
 
 from __future__ import annotations
@@ -114,11 +114,10 @@ def run_level(spec: LevelSpec, clf, mode: str) -> LevelResult:
                 f"{spec.n_items}-item level"
             )
         # one featurize per repetition, through the mdm binding perfbench/tracer.py
-        # wraps; each feature is both scored and absorbed
+        # wraps; the stack of features is scored in one call, then absorbed
         items = sorted(epochs_by_item)
         feats = mdm_mod.featurize([epochs_by_item[i] for i in items], model.recipe)
-        scored = {item: score(feat) for item, feat in zip(items, feats)}
-        selections.append(add_repetition(cumulative, scored))
+        selections.append(add_repetition(cumulative, dict(zip(items, score(feats)))))
         if mode == ADAPTIVE:
             # supervised update, applied only after the selection was used
             for item, feat in zip(items, feats):

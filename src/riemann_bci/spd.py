@@ -5,8 +5,8 @@ matrix type, ``SpdMatrix``, that symmetrizes its input and caches its
 eigendecomposition; its inverse and square roots from that decomposition;
 the affine-invariant (geodesic) distance, geodesic interpolation, and the
 geometric mean by a safeguarded Riemannian Newton method whose Hessian
-comes from the eigendecompositions its gradient already makes.  The array
-helpers take one matrix or a (k, dim, dim) stack, bit-identical to one
+comes from the eigendecompositions its gradient already makes.  The SPD
+check and the distance take one matrix or a stack, bit-identical to one
 matrix at a time.
 
 All public values are immutable after construction and every operation is
@@ -138,25 +138,35 @@ def matrix_fn(c: SpdMatrix, fn: str) -> SpdMatrix:
     raise ContractError(f"unknown matrix function {fn!r}")
 
 
-def riemann_distance(c1: SpdMatrix, c2: SpdMatrix) -> float:
-    """Affine-invariant distance sqrt(sum_n ln^2 w_n).
+def _whitened(c1: SpdMatrix, mats: Sequence[SpdMatrix]) -> np.ndarray:
+    """The symmetrized congruence C1^-1/2 C C1^-1/2 of each C in a stack."""
+    _check_equal_dims([c1, *mats])
+    values = mats[0].values[None] if len(mats) == 1 else np.stack([m.values for m in mats])
+    isq = c1._inv_sqrt_array()
+    return _symmetrize(isq @ values @ isq)
+
+
+def riemann_distance(c1: SpdMatrix, c2: SpdMatrix | Sequence[SpdMatrix]) -> float | np.ndarray:
+    """Affine-invariant distance sqrt(sum_n ln^2 w_n) to one matrix, or to each of a stack.
 
     The w_n are the eigenvalues of C1^-1 C2, computed stably as the
     eigenvalues of the symmetric congruence C1^-1/2 C2 C1^-1/2.
     """
-    if c1.dim != c2.dim:
-        raise ContractError(f"dimension mismatch: {c1.dim} vs {c2.dim}")
-    isq = c1._inv_sqrt_array()
+    one = isinstance(c2, SpdMatrix)
+    mats = [c2] if one else c2
+    if len(mats) == 0:
+        return np.zeros(0)
     try:
-        w = np.linalg.eigvalsh(_symmetrize(isq @ c2.values @ isq))
+        w = np.linalg.eigvalsh(_whitened(c1, mats))
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(c1.dim) from exc
-    if not w[0] > 0.0:
+    if not w[:, 0].min() > 0.0:
         raise NumericError(
             "whitened matrix lost positive definiteness "
-            f"(min eigenvalue {w[0]:.3e}); inputs are too ill-conditioned"
+            f"(min eigenvalue {w[:, 0].min():.3e}); inputs are too ill-conditioned"
         )
-    return float(np.sqrt(np.sum(np.log(w) ** 2)))
+    d = np.sqrt(np.sum(np.log(w) ** 2, axis=-1))
+    return float(d[0]) if one else d
 
 
 def geodesic(c1: SpdMatrix, c2: SpdMatrix, t: float) -> SpdMatrix:
@@ -165,21 +175,18 @@ def geodesic(c1: SpdMatrix, c2: SpdMatrix, t: float) -> SpdMatrix:
     Computed as C1^1/2 (C1^-1/2 C2 C1^-1/2)^t C1^1/2; the endpoints are
     returned exactly.
     """
-    if c1.dim != c2.dim:
-        raise ContractError(f"dimension mismatch: {c1.dim} vs {c2.dim}")
     if not 0.0 <= t <= 1.0:
         raise ContractError(f"geodesic parameter must lie in [0, 1], got {t}")
+    whitened = _whitened(c1, [c2])[0]
     if t == 0.0:
         return c1
     if t == 1.0:
         return c2
-    isq = c1._inv_sqrt_array()
-    sq = c1._sqrt_array()
-    w, u = _eigh_descending(_symmetrize(isq @ c2.values @ isq))
+    w, u = _eigh_descending(whitened)
     if not w[-1] > 0.0:
         raise NumericError("whitened matrix lost positive definiteness")
-    inner = _rebuild(u, w**t)
-    return SpdMatrix(sq @ inner @ sq)
+    sq = c1._sqrt_array()
+    return SpdMatrix(sq @ _rebuild(u, w**t) @ sq)
 
 
 def geometric_mean(

@@ -29,6 +29,11 @@ def feature(fc, e):
     return featurize([e], fc.generic.recipe)[0]
 
 
+def stack(fc, epochs):
+    """The epochs' features under the fused classifier's recipe, one stack."""
+    return featurize(epochs, fc.generic.recipe)
+
+
 def individual_model(fc):
     """The fused classifier's individual means as a stand-alone MDM model."""
     class_ids = fc.generic.class_ids
@@ -71,12 +76,11 @@ class TestFusedDistances:
     def test_alpha_zero_matches_generic_ranking(self, rng):
         model = generic_model(rng)
         fc = FusedClassifier(generic=model)
-        for _ in range(5):
-            e = epoch(rng)
-            fused = fc.fused_distances(feature(fc, e))
+        epochs = [epoch(rng) for _ in range(5)]
+        for e, fused in zip(epochs, fc.fused_distances(stack(fc, epochs)), strict=True):
             plain = mdm.distances(model, e)
             assert np.argsort(fused.values).tolist() == np.argsort(plain.values).tolist()
-            assert fc.fused_distances(feature(fc, e)).argmin_class() == mdm.predict(model, e)
+            assert fused.argmin_class() == mdm.predict(model, e)
 
     def test_alpha_one_matches_individual_ranking(self, rng):
         model = generic_model(rng)
@@ -86,9 +90,8 @@ class TestFusedDistances:
             fc.absorb(feature(fc, e), e.label, rep_increment=1.0)
         assert fc.alpha == 1.0
         individual = individual_model(fc)
-        for _ in range(5):
-            e = epoch(rng)
-            fused = fc.fused_distances(feature(fc, e))
+        epochs = [epoch(rng) for _ in range(5)]
+        for e, fused in zip(epochs, fc.fused_distances(stack(fc, epochs)), strict=True):
             plain = mdm.distances(individual, e)
             assert fused.argmin_class() == plain.argmin_class()
 
@@ -103,24 +106,24 @@ class TestFusedDistances:
         fc.n_rep = 1.0
         assert fc.alpha == 0.5
         individual = individual_model(fc)
-        for _ in range(10):
-            e = epoch(rng)
+        epochs = [epoch(rng) for _ in range(10)]
+        for e, fused in zip(epochs, fc.fused_distances(stack(fc, epochs)), strict=True):
             g = mdm.distances(model, e)
             i = mdm.distances(individual, e)
             if g.argmin_class() == i.argmin_class():
-                assert fc.fused_distances(feature(fc, e)).argmin_class() == g.argmin_class()
+                assert fused.argmin_class() == g.argmin_class()
 
     def test_positive_alpha_without_individual_errors(self, rng):
         fc = FusedClassifier(generic=generic_model(rng))
         fc.n_rep = 5
-        with pytest.raises(ContractError):
-            fc.fused_distances(feature(fc, epoch(rng)))
+        with pytest.raises(ContractError, match="has not observed every class"):
+            fc.fused_distances(stack(fc, [epoch(rng), epoch(rng)]))
 
     def test_partial_individual_still_errors(self, rng):
         fc = FusedClassifier(generic=generic_model(rng))
         fc.absorb(feature(fc, epoch(rng)), 0, rep_increment=1.0)
-        with pytest.raises(ContractError):
-            fc.fused_distances(feature(fc, epoch(rng)))
+        with pytest.raises(ContractError, match="has not observed every class"):
+            fc.fused_distances(stack(fc, [epoch(rng), epoch(rng)]))
 
 
 class TestAbsorb:
@@ -146,6 +149,14 @@ class TestAbsorb:
         fc = FusedClassifier(generic=generic_model(rng))
         with pytest.raises(ContractError):
             fc.absorb(feature(fc, epoch(rng)), 9)
+
+    def test_wrong_dimension_rejected(self, rng):
+        """A first feature of the wrong dimension would become a class mean
+        that fails only at scoring; absorb refuses it up front."""
+        fc = FusedClassifier(generic=generic_model(rng))
+        with pytest.raises(ContractError, match="feature dimension 5, model dimension 4"):
+            fc.absorb(SpdMatrix(np.eye(5)), 0)
+        assert fc.individual_means == {} and fc.n_rep == 0.0
 
     def test_raw_epoch_rejected(self, rng):
         fc = FusedClassifier(generic=generic_model(rng))

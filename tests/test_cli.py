@@ -534,6 +534,19 @@ def _negative_crossval_seed(tmp_path, model, data):
     return argv, "seed must"
 
 
+def _p300_epoch_too_short(tmp_path, model, data):
+    # 8 samples at 128 Hz end at 55 ms, before the 0.30 s response
+    argv = ["synth", "--modality", "p300", "--samples", "8", "--out", str(tmp_path / "p.dat")]
+    return argv, "end before a 0.3 s latency"
+
+
+def _simulated_epoch_too_short(tmp_path, model, data):
+    # the mismatched generic model, built first, responds 0.2 s later than the subject
+    argv = ["simulate", "--samples", "8", "--sessions", "1", "--levels", "1",
+            "--out", str(tmp_path / "s.csv")]
+    return argv, "end before a 0.5 s latency"
+
+
 @pytest.mark.parametrize(
     "case",
     [_missing_freqs, _non_utf8_model, _string_class_ids, _negative_counts,
@@ -547,7 +560,8 @@ def _negative_crossval_seed(tmp_path, model, data):
      _string_prototype_entry, _duplicate_class_ids, _negative_crossval_seed,
      _labels_not_class_ids, _stray_prototype_class, _repeated_fit_freqs,
      _repeated_model_freqs, _mi_freqs, _mi_model_prototype,
-     _p300_model_two_subjects, _mi_width_and_order, _mi_model_order] + _NOT_NUMBERS,
+     _p300_model_two_subjects, _mi_width_and_order, _mi_model_order,
+     _p300_epoch_too_short, _simulated_epoch_too_short] + _NOT_NUMBERS,
     ids=lambda case: case.__name__.lstrip("_"),
 )
 def test_bad_input_is_data_error(tmp_path, capsys, case):

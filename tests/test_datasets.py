@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -312,8 +313,12 @@ class TestP300TrialStack:
         ],
     )
     def test_matches_one_trial_per_call(self, n, t, fs, targets):
+        # the nominal latency must lie inside the epoch: 0.125 s for 2 samples at 8 Hz
+        latency = min(0.30, (t - 1) / fs)
         for seed in range(4):
-            spec = SyntheticSpec(n_channels=n, n_samples=t, fs=fs, snr=0.5 + seed)
+            spec = SyntheticSpec(
+                n_channels=n, n_samples=t, fs=fs, snr=0.5 + seed, latency_s=latency
+            )
             mixing = _mixing(n)
             stack_rng = np.random.default_rng([seed, n])
             one_rng = np.random.default_rng([seed, n])
@@ -324,6 +329,19 @@ class TestP300TrialStack:
             )
             # Same number of draws, in the same order.
             assert stack_rng.standard_normal() == one_rng.standard_normal()
+
+    def test_latency_outside_the_epoch_refused(self):
+        """The nominal latency must lie at or before the epoch's last sample:
+        at 8 Hz a 0.25 s latency is sample 2, so 3 samples hold it and 2 do
+        not.  8 samples at 128 Hz end at 55 ms, before the default 0.30 s."""
+        accepted = SyntheticSpec(n_channels=2, n_samples=3, fs=8.0, latency_s=0.25)
+        stack = p300_trial(np.random.default_rng(0), accepted, [True], _mixing(2))
+        assert stack.shape == (1, 2, 3)
+        for spec in (replace(accepted, n_samples=2), SyntheticSpec(n_samples=8)):
+            with pytest.raises(ContractError, match="end before a .* latency"):
+                p300_trial(np.random.default_rng(0), spec, [True], _mixing(spec.n_channels))
+            with pytest.raises(ContractError, match="end before a .* latency"):
+                generate_p300(spec)
 
 
 class TestGenerateP300:

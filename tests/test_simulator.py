@@ -32,6 +32,9 @@ MI_RECIPE = FeatureRecipe(modality=MI, shrinkage=0.0)
 
 # sha256 of the selections of two default sessions replayed in both modes
 REPLAY_SHA256 = "a472287c4bfe7e23d12d14b8836b6995cc03dc3c8e68d8d91bf8bb928a990986"
+# sha256 of the bytes of every distance vector those replays score (fused in
+# adaptive mode, static otherwise), item by item in repetition order
+DISTANCES_SHA256 = "4fb6e679ad3addf34411a548d4a5086f4c57c888000ad9934cbea6ee10e8a931"
 
 
 def feature(fc, e):
@@ -41,8 +44,8 @@ def feature(fc, e):
 
 def per_item_selections(spec, clf, mode):
     """Oracle for :func:`run_level`: the replay that featurized each item
-    epoch on its own, ``mdm.distances`` for a static model and a stack of
-    one scored by ``fused_distances`` for a fused classifier."""
+    epoch on its own and scored it as a stack of one: ``mdm.distances`` for
+    a static model and ``fused_distances`` for a fused classifier."""
     fused = isinstance(clf, FusedClassifier)
     class_ids = clf.generic.class_ids if fused else clf.class_ids
     totals, selections = {}, []
@@ -50,7 +53,10 @@ def per_item_selections(spec, clf, mode):
         epochs = spec.epoch_source(rep)
         feats = {item: feature(clf, e) for item, e in epochs.items()} if fused else {}
         for item in sorted(epochs):
-            dv = clf.fused_distances(feats[item]) if fused else mdm.distances(clf, epochs[item])
+            if fused:
+                (dv,) = clf.fused_distances([feats[item]])
+            else:
+                dv = mdm.distances(clf, epochs[item])
             totals[item] = totals.get(item, 0.0) + mdm.target_contrast(dv)
         selections.append(min(totals, key=lambda item: (totals[item], item)))
         if mode == ADAPTIVE:
@@ -196,6 +202,20 @@ class TestRunLevel:
         ]
         digest = hashlib.sha256(json.dumps(replayed).encode()).hexdigest()
         assert digest == REPLAY_SHA256
+
+    def test_replay_distances_are_pinned(self, monkeypatch):
+        """The selections pin only each repetition's argmin; this pins the
+        bits of every distance the replay adds up."""
+        digest = hashlib.sha256()
+
+        def recorded(totals, repetition):
+            for item in sorted(repetition):
+                digest.update(repetition[item].values.tobytes())
+            return mdm.add_repetition(totals, repetition)
+
+        monkeypatch.setattr(simulator, "add_repetition", recorded)
+        list(replay_sessions(SyntheticSessionConfig(), [0, 1], (ADAPTIVE, NON_ADAPTIVE)))
+        assert digest.hexdigest() == DISTANCES_SHA256
 
     def test_selections_match_cumulative_select(self):
         # weak response on item 1, nominal target 4: the level runs to its

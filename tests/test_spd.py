@@ -156,6 +156,43 @@ class TestDistance:
         with pytest.raises(ContractError):
             riemann_distance(random_spd(rng, 3), random_spd(rng, 4))
 
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    def test_stack_dimension_mismatch(self, rng, position):
+        stack = [random_spd(rng, 3) for _ in range(5)]
+        stack[position] = random_spd(rng, 4)
+        with pytest.raises(ContractError, match="dimension mismatch"):
+            riemann_distance(random_spd(rng, 3), stack)
+
+    def test_stack_analytic_values(self):
+        stack = [SpdMatrix(np.eye(2)), SpdMatrix(np.diag([4.0, 1.0]))]
+        d = riemann_distance(SpdMatrix(np.diag([4.0, 1.0])), stack)
+        assert isinstance(d, np.ndarray)
+        np.testing.assert_allclose(d, [math.log(4.0), 0.0], atol=1e-12)
+
+    def test_empty_stack(self, rng):
+        assert riemann_distance(random_spd(rng, 3), []).shape == (0,)
+
+
+def pair_distance(c1, c2):
+    """The distance as this package computed it before stacks: one
+    congruence and one eigvalsh per pair."""
+    isq = c1._inv_sqrt_array()
+    w = np.linalg.eigvalsh(spd._symmetrize(isq @ c2.values @ isq))
+    return float(np.sqrt(np.sum(np.log(w) ** 2)))
+
+
+@given(st.integers(1, 8), st.integers(1, 6), st.floats(0.0, 6.0), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_stacked_distance_is_pairwise_distance(dim, k, log_cond, seed):
+    """A stack of k <= 6 matrices of dim <= 8 at condition <= 1e6 gives, bit
+    for bit, the distances of one pair at a time."""
+    rng = np.random.default_rng(seed)
+    c1 = random_spd(rng, dim, cond=10.0**log_cond)
+    stack = [random_spd(rng, dim, cond=10.0**log_cond) for _ in range(k)]
+    expected = [pair_distance(c1, c) for c in stack]
+    assert riemann_distance(c1, stack).tolist() == expected
+    assert [riemann_distance(c1, c) for c in stack] == expected
+
 
 class TestGeodesic:
     def test_endpoints_exact(self, rng):
@@ -173,6 +210,10 @@ class TestGeodesic:
             c = random_spd(rng, 5, cond=50.0)
             mid = geodesic(c, matrix_fn(c, "inverse"), 0.5)
             assert np.linalg.norm(mid.values - np.eye(5), "fro") <= 1e-9
+
+    def test_dimension_mismatch_even_at_an_endpoint(self, rng):
+        with pytest.raises(ContractError, match="dimension mismatch"):
+            geodesic(random_spd(rng, 3), random_spd(rng, 4), 0.0)
 
     def test_parameter_out_of_range(self, rng):
         a = random_spd(rng, 3)
@@ -196,10 +237,11 @@ class TestGeodesic:
     "call",
     [
         lambda a, b: riemann_distance(a, b),
+        lambda a, b: riemann_distance(a, [a, b]),
         lambda a, b: geodesic(a, b, 0.5),
         lambda a, b: karcher_residual(a, [b]),
     ],
-    ids=["riemann_distance", "geodesic", "karcher_residual"],
+    ids=["riemann_distance", "riemann_distance_stack", "geodesic", "karcher_residual"],
 )
 def test_overflowing_whitening_is_numeric_error(call):
     """Whitening diag(1e300) by diag(1e-300)^-1/2 overflows, and the
