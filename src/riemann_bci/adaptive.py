@@ -18,6 +18,7 @@ by its own class sum to make the two scales commensurable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +36,7 @@ DEFAULT_RAMP = 40
 
 def _profiles(means: list[SpdMatrix], feats: list[SpdMatrix]) -> np.ndarray:
     """Each feature's row of distances to ``means``, over its sum if positive."""
-    table = np.stack([riemann_distance(m, feats) for m in means], axis=-1)
+    table = riemann_distance(means, feats)
     total = table.sum(axis=-1, keepdims=True)
     return np.divide(table, total, out=table, where=total > 0.0)
 
@@ -84,7 +85,7 @@ class FusedClassifier:
                 )
             individual = _profiles([self.individual_means[z] for z in class_ids], feats)
             fused = (1.0 - alpha) * fused + alpha * individual
-        return [DistanceVector(row, class_ids) for row in fused]
+        return DistanceVector._rows(fused, class_ids)
 
     def absorb(
         self, feat: SpdMatrix, true_label: int, rep_increment: float = 1.0
@@ -110,6 +111,8 @@ class FusedClassifier:
             )
         if feat.dim != self.generic.dim:
             raise ContractError(f"feature dimension {feat.dim}, model dimension {self.generic.dim}")
+        if not (math.isfinite(rep_increment) and rep_increment >= 0.0):
+            raise ContractError(f"rep_increment must be finite and >= 0, got {rep_increment}")
         means, count = self.individual_means, self.individual_counts.get(true_label, 0)
         means[true_label] = geodesic(means[true_label], feat, 1.0 / (count + 1)) if count else feat
         self.individual_counts[true_label] = count + 1

@@ -15,6 +15,8 @@ import argparse
 import csv
 import sys
 from dataclasses import replace
+from functools import cache
+
 import numpy as np
 
 from . import mdm as mdm_mod
@@ -66,7 +68,7 @@ def _preprocess(epochs, args):
         epochs = [bandpass(e, spec) for e in epochs]
     if args.decimate_to is not None:
         epochs = [decimate(e, args.decimate_to) for e in epochs]
-    return [demean(e) for e in epochs]
+    return demean(epochs)
 
 
 def _fit(args, training):
@@ -217,6 +219,7 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+@cache  # one parser per process: main may run many commands in one
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="riemann-bci",

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import signal
 
 from .errors import ContractError, FileFormatError
 from .features import FeatureRecipe, Prototype
@@ -190,16 +189,8 @@ def read_epochs(path) -> list[Epoch]:
         raise FileFormatError(
             f"payload holds {len(payload)} bytes, header implies {expected}"
         )
-    data = np.frombuffer(payload, dtype="<f4").reshape(n_trials, n, t)
-    return [
-        Epoch(
-            data=data[i].astype(np.float64),
-            fs=fs,
-            label=None if labels[i] == -1 else labels[i],
-            channels=channels,
-        )
-        for i in range(n_trials)
-    ]
+    data = np.frombuffer(payload, dtype="<f4").reshape(n_trials, n, t).astype(np.float64)
+    return Epoch._rows(data, fs, [None if z == -1 else z for z in labels], channels)
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +391,8 @@ def _colored_noise(drive: np.ndarray, ar: float, mixing: np.ndarray) -> np.ndarr
     ``drive`` is a (..., n, t) stack of standard normal draws whose first
     column is the stationary start; it is overwritten with the result.
     """
+    from scipy import signal  # imported on first use: only P300 generation filters
+
     drive[..., 1:] *= np.sqrt(1.0 - ar**2)
     sources = signal.lfilter([1.0], [1.0, -ar], drive, axis=-1)
     return np.matmul(mixing, sources, out=drive)
@@ -457,10 +450,7 @@ def generate_p300(spec: SyntheticSpec) -> tuple[list[Epoch], np.ndarray]:
     targets = [True] * k + [False] * k
     rng = np.random.default_rng(spec.seed)
     data = p300_trial(rng, spec, targets, _mixing(spec.n_channels))
-    epochs = [
-        Epoch(x, fs=spec.fs, label=int(is_target)) for x, is_target in zip(data, targets)
-    ]
-    return epochs, p300_template(spec)
+    return Epoch._rows(data, spec.fs, [int(z) for z in targets], ()), p300_template(spec)
 
 
 def ssvep_gains(n_channels: int, n_freqs: int) -> np.ndarray:

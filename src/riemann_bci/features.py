@@ -30,6 +30,7 @@ from .preprocessing import (
     Epoch,
     SSVEP_BAND_ORDER,
     SSVEP_BAND_WIDTH_HZ,
+    _stacked_data,
     ssvep_filter_bank,
 )
 from .spd import Evd, SpdMatrix, decompose, not_positive_definite
@@ -294,12 +295,10 @@ def featurize(epochs: list[Epoch], recipe: FeatureRecipe) -> list[SpdMatrix]:
     """
     if not epochs:
         return []
-    shape, fs = epochs[0].data.shape, epochs[0].fs
-    if any(e.data.shape != shape or e.fs != fs for e in epochs):
-        raise ContractError("featurized epochs must share one shape and sampling rate")
-    data = np.array([e.data for e in epochs])
+    data, fs = _stacked_data(epochs, "featurized"), epochs[0].fs
+    shape = data.shape[1:]
     if recipe.modality == SSVEP:
-        rows = Epoch(data.reshape(-1, shape[1]), fs=fs)
+        (rows,) = Epoch._rows(data.reshape(1, -1, shape[1]), fs, [None], ())
         bank = ssvep_filter_bank(rows, list(recipe.freqs), recipe.width_hz, recipe.order)
         return _block_cov([b.data.reshape(data.shape) for b in bank], recipe.shrinkage)
     m = recipe.n_subjects

@@ -10,9 +10,9 @@ modalities.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import ContractError, MeanConvergenceError
 from .features import FeatureRecipe, featurize
@@ -33,14 +33,35 @@ class DistanceVector:
             raise ContractError(
                 f"{v.shape} distances for {len(self.class_ids)} classes"
             )
-        if not np.all(np.isfinite(v)) or np.any(v < 0.0):
-            raise ContractError("distances must be finite and nonnegative")
-        v.flags.writeable = False
+        _check_distances(v)
         object.__setattr__(self, "values", v)
+
+    @classmethod
+    def _rows(cls, table: np.ndarray, class_ids: tuple[int, ...]) -> list["DistanceVector"]:
+        """One vector per row of a float64 (k, len(class_ids)) table, with
+        the checks of one vector run once for the whole table.
+
+        The table is made read-only in place and each vector's values are
+        a view of its row, not a copy.
+        """
+        _check_distances(table)
+        vectors = []
+        for row in table:
+            dv = object.__new__(cls)
+            vars(dv).update(values=row, class_ids=class_ids)
+            vectors.append(dv)
+        return vectors
 
     def argmin_class(self) -> int:
         """Class id with the smallest distance; ties go to the lowest id."""
         return self.class_ids[int(np.argmin(self.values))]
+
+
+def _check_distances(v: np.ndarray) -> None:
+    """Refuse a negative or non-finite distance in ``v``, then set it read-only."""
+    if not np.all(np.isfinite(v)) or np.any(v < 0.0):
+        raise ContractError("distances must be finite and nonnegative")
+    v.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +110,11 @@ def fit(
     tol: float | None = None,
     max_iter: int = DEFAULT_MEAN_MAX_ITER,
 ) -> MdmModel:
-    """Per-class geometric means of labeled epochs; tol, max_iter go to geometric_mean."""
+    """Per-class geometric means of labeled epochs; tol, max_iter go to geometric_mean.
+
+    The labeled epochs share one shape and sampling rate and are
+    featurized as one stack, in class-id order.
+    """
     by_class: dict[int, list[Epoch]] = {}
     for e in training:
         if e.label is None:
@@ -103,17 +128,17 @@ def fit(
             raise ContractError(
                 f"class {z} has {len(by_class[z])} epochs, need >= 2"
             )
+    counts = [len(by_class[z]) for z in class_ids]
+    feats = featurize([e for z in class_ids for e in by_class[z]], recipe)
+    edges = list(accumulate(counts, initial=0))
     means = []
-    counts = []
-    for z in class_ids:
-        feats = featurize(by_class[z], recipe)
+    for z, start, end in zip(class_ids, edges, edges[1:]):
         try:
-            means.append(geometric_mean(feats, tol=tol, max_iter=max_iter))
+            means.append(geometric_mean(feats[start:end], tol=tol, max_iter=max_iter))
         except MeanConvergenceError as exc:
             raise MeanConvergenceError(
                 exc.residual, exc.iterations, context=f"class {z}"
             ) from exc
-        counts.append(len(feats))
     return MdmModel(
         class_ids=tuple(class_ids),
         means=tuple(means),
@@ -133,9 +158,9 @@ def stack_distances(model: MdmModel, epochs: list[Epoch]) -> list[DistanceVector
 
 
 def feature_distances(model: MdmModel, feats: list[SpdMatrix]) -> list[DistanceVector]:
-    """Affine-invariant distances from each feature of a stack to the class means."""
-    table = np.stack([riemann_distance(m, feats) for m in model.means], axis=-1)
-    return [DistanceVector(row, model.class_ids) for row in table]
+    """Affine-invariant distances from each feature of a stack to the class
+    means, from one table of the stack against every mean."""
+    return DistanceVector._rows(riemann_distance(model.means, feats), model.class_ids)
 
 
 def predict(model: MdmModel, e: Epoch) -> int:
@@ -211,6 +236,20 @@ def auc(scores: list[tuple[float, int]]) -> float:
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ContractError("AUC needs both a positive and a negative example")
-    ranks = rankdata(values)
-    u = ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0
+    u = _average_ranks(values)[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
+
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``values``, tied values sharing the mean of their ranks.
+
+    A tie spanning sorted positions s..e-1 takes (s + 1 + e) / 2, a
+    half-integer, so the ranks equal ``scipy.stats.rankdata`` bit for bit.
+    """
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(values)]
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
+    return ranks

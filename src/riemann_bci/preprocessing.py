@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import signal
 
 from .errors import ContractError
 
@@ -36,27 +35,24 @@ class Epoch:
         a = np.array(self.data, dtype=np.float64)
         if a.ndim != 2:
             raise ContractError(f"epoch data must be 2-D, got shape {a.shape}")
-        n, t = a.shape
-        if n < 1 or t < 2:
-            raise ContractError(
-                f"epoch needs >= 1 channel and >= 2 samples, got {n}x{t}"
-            )
-        if not np.all(np.isfinite(a)):
-            raise ContractError("epoch data must be finite")
-        if not (math.isfinite(self.fs) and self.fs > 0):
-            raise ContractError(
-                f"sampling rate must be positive and finite, got {self.fs}"
-            )
-        names = tuple(self.channels) if self.channels else tuple(
-            f"ch{i + 1}" for i in range(n)
-        )
-        if len(names) != n:
-            raise ContractError(
-                f"{len(names)} channel names for {n} channels"
-            )
-        a.flags.writeable = False
+        object.__setattr__(self, "channels", _checked(a, self.fs, self.channels))
         object.__setattr__(self, "data", a)
-        object.__setattr__(self, "channels", names)
+
+    @classmethod
+    def _rows(cls, data: np.ndarray, fs: float, labels, channels) -> list["Epoch"]:
+        """One epoch per row of a float64 (k, n_channels, n_samples) stack,
+        with the checks of one epoch run once for the whole stack.
+
+        The stack is made read-only in place and each epoch's data is a
+        view of its row, not a copy.
+        """
+        names = _checked(data, fs, channels)
+        epochs = []
+        for row, label in zip(data, labels):
+            e = object.__new__(cls)
+            vars(e).update(data=row, fs=fs, label=label, channels=names)
+            epochs.append(e)
+        return epochs
 
     @property
     def n_channels(self) -> int:
@@ -73,6 +69,24 @@ class Epoch:
             label=self.label,
             channels=self.channels,
         )
+
+
+def _checked(a: np.ndarray, fs: float, channels) -> tuple[str, ...]:
+    """Check the float64 data of one epoch or a stack of them, ``a`` of shape
+    (..., n_channels, n_samples), set it read-only and return its channel
+    names (``ch1``, ``ch2``, ... when none are given)."""
+    n, t = a.shape[-2:]
+    if n < 1 or t < 2:
+        raise ContractError(f"epoch needs >= 1 channel and >= 2 samples, got {n}x{t}")
+    if not np.isfinite(a).all():
+        raise ContractError("epoch data must be finite")
+    if not (math.isfinite(fs) and fs > 0):
+        raise ContractError(f"sampling rate must be positive and finite, got {fs}")
+    names = tuple(channels) if channels else tuple(f"ch{i + 1}" for i in range(n))
+    if len(names) != n:
+        raise ContractError(f"{len(names)} channel names for {n} channels")
+    a.flags.writeable = False
+    return names
 
 
 @dataclass(frozen=True)
@@ -94,9 +108,34 @@ class BandSpec:
             )
 
 
-def demean(e: Epoch) -> Epoch:
-    """Remove each channel's mean so the zero-mean covariance model holds."""
-    return e.with_data(e.data - e.data.mean(axis=1, keepdims=True))
+def demean(e: Epoch | list[Epoch]) -> Epoch | list[Epoch]:
+    """Remove each channel's mean so the zero-mean covariance model holds.
+
+    A list of epochs of one shape and sampling rate is demeaned as one
+    stack, bit-identical to one epoch at a time.
+    """
+    if isinstance(e, Epoch):
+        return e.with_data(_demeaned(e.data.copy()))
+    if not e:
+        return []
+    data = _demeaned(_stacked_data(e, "demeaned"))
+    return Epoch._rows(data, e[0].fs, [x.label for x in e], e[0].channels)
+
+
+def _demeaned(x: np.ndarray) -> np.ndarray:
+    """``x``, an array the caller owns, less the mean of each row along its
+    last (time) axis, in place."""
+    x -= x.mean(axis=-1, keepdims=True)
+    return x
+
+
+def _stacked_data(epochs: list[Epoch], what: str) -> np.ndarray:
+    """The data of nonempty ``epochs`` as one (k, n_channels, n_samples)
+    stack; they must share one shape and sampling rate."""
+    shape, fs = epochs[0].data.shape, epochs[0].fs
+    if any(e.data.shape != shape or e.fs != fs for e in epochs):
+        raise ContractError(f"{what} epochs must share one shape and sampling rate")
+    return np.stack([e.data for e in epochs])
 
 
 @lru_cache
@@ -110,6 +149,8 @@ def _butter_sos(
     the unit circle (0/0 in the DC gain) or underflows the design; each is
     refused as a contract error naming the band.
     """
+    from scipy import signal  # imported on first use: most commands never filter
+
     try:
         # numpy's LinAlgError is a ValueError; 0/0 raises FloatingPointError
         with np.errstate(invalid="raise"):
@@ -138,6 +179,8 @@ def bandpass(e: Epoch, spec: BandSpec) -> Epoch:
         raise ContractError(
             f"band edge {spec.high_hz} Hz must lie below Nyquist ({e.fs / 2.0} Hz)"
         )
+    from scipy import signal
+
     sos, zi = _butter_sos(spec.order, spec.low_hz, spec.high_hz, e.fs)
     # scipy's sosfilt refuses a read-only array, so each call filters with a copy.
     sos = sos.copy()
@@ -151,7 +194,9 @@ def bandpass(e: Epoch, spec: BandSpec) -> Epoch:
     )
     y, _ = signal.sosfilt(sos, ext, axis=1, zi=zi * ext[:, :1])
     y, _ = signal.sosfilt(sos, y[:, ::-1], axis=1, zi=zi * y[:, -1:])
-    return demean(e.with_data(y[:, ::-1][:, n:-n]))
+    # demeaned in time order, as one epoch of the trimmed result would be
+    y = _demeaned(np.ascontiguousarray(y[:, ::-1][:, n:-n]))
+    return Epoch._rows(y[None], e.fs, [e.label], e.channels)[0]
 
 
 def decimate(e: Epoch, target_fs: float) -> Epoch:

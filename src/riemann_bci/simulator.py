@@ -30,7 +30,7 @@ from .datasets import SyntheticSpec, generate_p300, p300_trial, _mixing
 from .errors import ContractError
 from .features import DEFAULT_ERP_SHRINKAGE, P300, build_recipe
 from .mdm import MdmModel, add_repetition, feature_distances
-from .preprocessing import Epoch, demean
+from .preprocessing import Epoch, _demeaned, demean
 # Unused here, but perfbench/tracer.py wraps the simulator.distances binding.
 from .mdm import distances  # noqa: F401
 
@@ -279,15 +279,21 @@ def synthetic_generic_model(config: SyntheticSessionConfig) -> MdmModel:
         trials_per_class=GENERIC_TRIALS,
         seed=RUN_SEED,
     )
+    if not spec.latency_s * spec.fs <= spec.n_samples - 1:
+        raise ContractError(
+            f"{spec.n_samples} samples at {spec.fs} Hz end before a {spec.latency_s} s "
+            f"latency: the generic model's response is shifted GENERIC_SHIFT_S = "
+            f"{GENERIC_SHIFT_S} s after the subject's and needs the longer epoch"
+        )
     epochs, _ = generate_p300(spec)
-    return calibrated_model([demean(e) for e in epochs], config.shrinkage)
+    return calibrated_model(demean(epochs), config.shrinkage)
 
 
 def synthetic_training_run(config: SyntheticSessionConfig) -> list[Epoch]:
     """The subject's own calibration epochs for the non-adaptive mode."""
     spec = replace(config.subject, trials_per_class=TRAINING_TRIALS, seed=RUN_SEED)
     epochs, _ = generate_p300(spec)
-    return [demean(e) for e in epochs]
+    return demean(epochs)
 
 
 def make_level_specs(
@@ -312,12 +318,9 @@ def make_level_specs(
             # item-major, flash-minor: both flashes of item 0, then of item 1, ...
             flags = [item == target for item in range(config.n_items) for _ in range(2)]
             flashes = p300_trial(rng, subject, flags, mixing)
-            averaged = 0.5 * (flashes[0::2] + flashes[1::2])
-            averaged -= averaged.mean(axis=-1, keepdims=True)
-            return {
-                item: Epoch(x, fs=subject.fs, label=int(item == target))
-                for item, x in enumerate(averaged)
-            }
+            averaged = _demeaned(0.5 * (flashes[0::2] + flashes[1::2]))
+            labels = [int(item == target) for item in range(config.n_items)]
+            return dict(enumerate(Epoch._rows(averaged, subject.fs, labels, ())))
 
         return source
 

@@ -6,8 +6,8 @@ eigendecomposition; its inverse and square roots from that decomposition;
 the affine-invariant (geodesic) distance, geodesic interpolation, and the
 geometric mean by a safeguarded Riemannian Newton method whose Hessian
 comes from the eigendecompositions its gradient already makes.  The SPD
-check and the distance take one matrix or a stack, bit-identical to one
-matrix at a time.
+check takes one matrix or a stack, and the distance a stack on either
+side, bit-identical to one matrix or one pair at a time.
 
 All public values are immutable after construction and every operation is
 a pure function, so everything here is safe to call concurrently.
@@ -138,35 +138,51 @@ def matrix_fn(c: SpdMatrix, fn: str) -> SpdMatrix:
     raise ContractError(f"unknown matrix function {fn!r}")
 
 
-def _whitened(c1: SpdMatrix, mats: Sequence[SpdMatrix]) -> np.ndarray:
-    """The symmetrized congruence C1^-1/2 C C1^-1/2 of each C in a stack."""
-    _check_equal_dims([c1, *mats])
-    values = mats[0].values[None] if len(mats) == 1 else np.stack([m.values for m in mats])
-    isq = c1._inv_sqrt_array()
-    return _symmetrize(isq @ values @ isq)
+def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
-def riemann_distance(c1: SpdMatrix, c2: SpdMatrix | Sequence[SpdMatrix]) -> float | np.ndarray:
-    """Affine-invariant distance sqrt(sum_n ln^2 w_n) to one matrix, or to each of a stack.
+def _whitened(refs: Sequence[SpdMatrix], mats: Sequence[SpdMatrix]) -> np.ndarray:
+    """The symmetrized congruence R^-1/2 C R^-1/2 of each C in ``mats`` by
+    each R in ``refs``, a (len(mats), len(refs), dim, dim) stack."""
+    _check_equal_dims([*refs, *mats])
+    isq = _stacked([r._inv_sqrt_array() for r in refs])
+    return _symmetrize(isq @ _stacked([m.values for m in mats])[:, None] @ isq)
+
+
+def riemann_distance(
+    c1: SpdMatrix | Sequence[SpdMatrix], c2: SpdMatrix | Sequence[SpdMatrix]
+) -> float | np.ndarray:
+    """Affine-invariant distance sqrt(sum_n ln^2 w_n) from ``c1`` to ``c2``.
 
     The w_n are the eigenvalues of C1^-1 C2, computed stably as the
-    eigenvalues of the symmetric congruence C1^-1/2 C2 C1^-1/2.
+    eigenvalues of the symmetric congruence C1^-1/2 C2 C1^-1/2.  Two
+    matrices give a float.  A stack in either place gives an array with
+    one entry per matrix of the stack, and stacks in both places give the
+    (len(c2), len(c1)) table: row i holds the distances from each matrix
+    of ``c1`` to ``c2[i]``.  Every entry equals the distance of its pair
+    alone, bit for bit.
     """
-    one = isinstance(c2, SpdMatrix)
-    mats = [c2] if one else c2
-    if len(mats) == 0:
-        return np.zeros(0)
-    try:
-        w = np.linalg.eigvalsh(_whitened(c1, mats))
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolverError(c1.dim) from exc
-    if not w[:, 0].min() > 0.0:
-        raise NumericError(
-            "whitened matrix lost positive definiteness "
-            f"(min eigenvalue {w[:, 0].min():.3e}); inputs are too ill-conditioned"
-        )
-    d = np.sqrt(np.sum(np.log(w) ** 2, axis=-1))
-    return float(d[0]) if one else d
+    refs = [c1] if isinstance(c1, SpdMatrix) else c1
+    mats = [c2] if isinstance(c2, SpdMatrix) else c2
+    if len(refs) == 0 or len(mats) == 0:
+        d = np.zeros((len(mats), len(refs)))
+    else:
+        try:
+            w = np.linalg.eigvalsh(_whitened(refs, mats))
+        except np.linalg.LinAlgError as exc:
+            raise EigenSolverError(refs[0].dim) from exc
+        if not w[..., 0].min() > 0.0:
+            raise NumericError(
+                "whitened matrix lost positive definiteness "
+                f"(min eigenvalue {w[..., 0].min():.3e}); inputs are too ill-conditioned"
+            )
+        d = np.sqrt(np.sum(np.log(w) ** 2, axis=-1))
+    if isinstance(c1, SpdMatrix):
+        d = d[:, 0]
+    if isinstance(c2, SpdMatrix):
+        d = d[0]
+    return d if isinstance(d, np.ndarray) else float(d)
 
 
 def geodesic(c1: SpdMatrix, c2: SpdMatrix, t: float) -> SpdMatrix:
@@ -177,7 +193,7 @@ def geodesic(c1: SpdMatrix, c2: SpdMatrix, t: float) -> SpdMatrix:
     """
     if not 0.0 <= t <= 1.0:
         raise ContractError(f"geodesic parameter must lie in [0, 1], got {t}")
-    whitened = _whitened(c1, [c2])[0]
+    whitened = _whitened([c1], [c2])[0, 0]
     if t == 0.0:
         return c1
     if t == 1.0:

@@ -158,6 +158,20 @@ class TestAbsorb:
             fc.absorb(SpdMatrix(np.eye(5)), 0)
         assert fc.individual_means == {} and fc.n_rep == 0.0
 
+    @pytest.mark.parametrize("increment", [-20.0, float("nan"), float("inf")])
+    def test_bad_rep_increment_rejected(self, rng, increment):
+        """A negative increment would drive alpha below 0 and a NaN one to 1;
+        absorb refuses both, and an infinite one, before changing anything."""
+        fc = FusedClassifier(generic=generic_model(rng))
+        with pytest.raises(ContractError, match=f"rep_increment must be .*{increment}"):
+            fc.absorb(feature(fc, epoch(rng)), 0, rep_increment=increment)
+        assert fc.individual_means == {} and fc.n_rep == 0.0 and fc.alpha == 0.0
+
+    def test_zero_rep_increment_accepted(self, rng):
+        fc = FusedClassifier(generic=generic_model(rng))
+        fc.absorb(feature(fc, epoch(rng)), 0, rep_increment=0.0)
+        assert fc.individual_counts == {0: 1} and fc.n_rep == 0.0
+
     def test_raw_epoch_rejected(self, rng):
         fc = FusedClassifier(generic=generic_model(rng))
         with pytest.raises(ContractError):

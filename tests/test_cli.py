@@ -547,6 +547,37 @@ def _simulated_epoch_too_short(tmp_path, model, data):
     return argv, "end before a 0.5 s latency"
 
 
+def _generic_epoch_too_short(tmp_path, model, data):
+    # 40 samples at 96 Hz end at 0.41 s: after the subject's 0.3 s response,
+    # before the generic model's, which comes 0.2 s later
+    argv = ["simulate", "--samples", "40", "--fs", "96", "--sessions", "1", "--levels", "1",
+            "--out", str(tmp_path / "s.csv")]
+    return argv, "generic model's response is shifted GENERIC_SHIFT_S = 0.2 s"
+
+
+def _payload_value(command, value, name):
+    """Case: one float32 of the epoch payload set to ``value``, then ``command``."""
+    def case(tmp_path, model, data):
+        header, payload = data.read_bytes().split(b"\n", 1)
+        x = np.frombuffer(payload, dtype="<f4").copy()
+        x[x.size // 2] = value
+        bad = tmp_path / "bad.dat"
+        bad.write_bytes(header + b"\n" + x.tobytes())
+        argv = _fit(tmp_path, bad) if command == "fit" else _eval(tmp_path, model, bad)
+        return argv, "must be finite"
+
+    case.__name__ = name
+    return case
+
+
+_NON_FINITE_PAYLOADS = [
+    _payload_value("fit", np.nan, "nan_payload_fit"),
+    _payload_value("eval", np.nan, "nan_payload_eval"),
+    _payload_value("fit", np.inf, "inf_payload_fit"),
+    _payload_value("eval", np.inf, "inf_payload_eval"),
+]
+
+
 @pytest.mark.parametrize(
     "case",
     [_missing_freqs, _non_utf8_model, _string_class_ids, _negative_counts,
@@ -561,7 +592,8 @@ def _simulated_epoch_too_short(tmp_path, model, data):
      _labels_not_class_ids, _stray_prototype_class, _repeated_fit_freqs,
      _repeated_model_freqs, _mi_freqs, _mi_model_prototype,
      _p300_model_two_subjects, _mi_width_and_order, _mi_model_order,
-     _p300_epoch_too_short, _simulated_epoch_too_short] + _NOT_NUMBERS,
+     _p300_epoch_too_short, _simulated_epoch_too_short, _generic_epoch_too_short]
+    + _NOT_NUMBERS + _NON_FINITE_PAYLOADS,
     ids=lambda case: case.__name__.lstrip("_"),
 )
 def test_bad_input_is_data_error(tmp_path, capsys, case):
@@ -579,6 +611,70 @@ def test_bad_input_is_data_error(tmp_path, capsys, case):
     assert run(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err, err
+
+
+def test_generic_epoch_length_binds_only_the_adaptive_mode(tmp_path):
+    """The geometry the generic model refuses holds the subject's own response."""
+    argv = ["simulate", "--mode", "non-adaptive", "--samples", "40", "--fs", "96",
+            "--sessions", "1", "--levels", "1", "--out", str(tmp_path / "s.csv")]
+    assert run(argv) == 0
+
+
+# Run each argv of a JSON list through main in this one process and print,
+# as JSON, each one's exit code, standard output and standard error.
+_SEQUENCE_SCRIPT = """
+import contextlib, io, json, sys
+from riemann_bci.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_commands_in_one_process_match_each_alone(tmp_path):
+    """main builds its parser once per process; fit, eval, a usage error and
+    --help run one after another in one process give the exit code and the
+    output each gives in a process of its own."""
+    data, model, report = (str(tmp_path / name) for name in ("mi.dat", "m.json", "r.csv"))
+    assert run(["synth", "--modality", "mi", "--trials", "4", "--samples", "64",
+                "--seed", "0", "--out", data]) == 0
+    commands = [
+        ["fit", "--modality", "mi", "--in", data, "--out", model],
+        ["eval", "--model", model, "--in", data, "--report", report],
+        ["fit", "--modality", "eeg", "--in", data, "--out", model],
+        ["eval", "--help"],
+    ]
+    src = Path(riemann_bci.__file__).resolve().parents[1]
+
+    def results(argvs):
+        proc = subprocess.run(
+            [sys.executable, "-c", _SEQUENCE_SCRIPT, json.dumps(argvs)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    alone = [results([argv])[0] for argv in commands]
+    assert [code for code, _, _ in alone] == [0, 0, 2, 0]
+    assert "invalid choice: 'eeg'" in alone[2][2] and "usage:" in alone[3][1]
+    assert results(commands) == alone
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy is imported where it is used (filter design and filtering,
+    P300 noise), so a command that never filters does not load it."""
+    src = Path(riemann_bci.__file__).resolve().parents[1]
+    script = "import sys, riemann_bci.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_refused_band_prints_one_error_line(tmp_path):

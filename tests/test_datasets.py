@@ -135,6 +135,67 @@ class TestEpochFiles:
             np.testing.assert_array_equal(orig.data, loaded.data)
 
 
+def per_trial_read(path):
+    """read_epochs' decoding as it was before stacks: one float64 copy and
+    one epoch per trial."""
+    blob = path.read_bytes()
+    newline = blob.find(b"\n")
+    header = json.loads(blob[:newline])
+    shape = (header["n_trials"], header["n_channels"], header["n_samples"])
+    data = np.frombuffer(blob[newline + 1 :], dtype="<f4").reshape(shape)
+    return [
+        Epoch(data[i].astype(np.float64), fs=header["fs_hz"],
+              label=None if z == -1 else z, channels=tuple(header["channel_names"]))
+        for i, z in enumerate(header["labels"])
+    ]
+
+
+class TestReadEpochsStack:
+    @given(
+        k=st.integers(1, 5),
+        n=st.integers(1, 4),
+        t=st.integers(2, 64),
+        log_scale=st.floats(-30.0, 30.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matches_per_trial_astype(self, k, n, t, log_scale, seed):
+        import tempfile
+        from pathlib import Path
+
+        rng = np.random.default_rng(seed)
+        epochs = [
+            Epoch(10.0**log_scale * rng.standard_normal((n, t)), fs=128.0,
+                  label=None if i == 0 else i)
+            for i in range(k)
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "e.dat"
+            write_epochs(path, epochs)
+            expected, got = per_trial_read(path), read_epochs(path)
+        for a, b in zip(expected, got, strict=True):
+            np.testing.assert_array_equal(b.data, a.data)
+            assert b.data.dtype == np.float64 and not b.data.flags.writeable
+            assert (b.fs, b.label, b.channels) == (a.fs, a.label, a.channels)
+
+    def test_trials_are_rows_of_one_stack(self, rng, tmp_path):
+        path = tmp_path / "e.dat"
+        write_epochs(path, [Epoch(rng.standard_normal((2, 8)), fs=128.0) for _ in range(3)])
+        first, *rest = read_epochs(path)
+        assert all(e.data.base is first.data.base for e in rest)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_payload_refused(self, rng, tmp_path, value):
+        path = tmp_path / "e.dat"
+        write_epochs(path, [Epoch(rng.standard_normal((2, 8)), fs=128.0) for _ in range(3)])
+        header, payload = path.read_bytes().split(b"\n", 1)
+        x = np.frombuffer(payload, dtype="<f4").copy()
+        x[-5] = value
+        path.write_bytes(header + b"\n" + x.tobytes())
+        with pytest.raises(ContractError, match="epoch data must be finite"):
+            read_epochs(path)
+
+
 class TestModelFiles:
     def _small_model(self, rng):
         spec = SyntheticSpec(

@@ -1,12 +1,30 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riemann_bci import mdm
-from riemann_bci.datasets import SyntheticSpec, default_mi_covariances, generate_mi
+from riemann_bci.datasets import (
+    SyntheticSpec,
+    default_mi_covariances,
+    generate_mi,
+    generate_p300,
+    generate_ssvep,
+)
 from riemann_bci.errors import ContractError
-from riemann_bci.features import MI, FeatureRecipe, featurize, super_trial_cov
+from riemann_bci.features import (
+    ERP_MULTI,
+    MI,
+    P300,
+    SSVEP,
+    FeatureRecipe,
+    build_recipe,
+    featurize,
+    super_trial_cov,
+)
+from riemann_bci.spd import geometric_mean, riemann_distance
 from riemann_bci.mdm import DistanceVector, MdmModel
 from riemann_bci.preprocessing import Epoch, demean
 
@@ -88,6 +106,89 @@ class TestFit:
         epochs.append(mi_epochs(rng, label=None))
         model = mdm.fit(epochs, MI_RECIPE)
         assert model.counts == (2, 2)
+
+
+def per_class_means(training, recipe):
+    """fit's means as they were before one featurize call: each class
+    featurized as its own stack."""
+    by_class = {}
+    for e in training:
+        if e.label is not None:
+            by_class.setdefault(e.label, []).append(e)
+    return [geometric_mean(featurize(by_class[z], recipe)) for z in sorted(by_class)]
+
+
+def training_set(modality):
+    """A small demeaned synthetic training set and a recipe for ``modality``,
+    its classes interleaved so that fit has to regroup them."""
+    spec = SyntheticSpec(n_channels=4, n_samples=96, trials_per_class=6, seed=3)
+    if modality == MI:
+        epochs = generate_mi(replace(spec, class_covs=default_mi_covariances(4, 3)))
+    elif modality == SSVEP:
+        epochs = generate_ssvep(replace(spec, n_samples=256, snr=2.0))
+    else:
+        epochs, _ = generate_p300(replace(spec, n_samples=64))
+    epochs = demean(epochs)
+    epochs = epochs[::2] + epochs[1::2]
+    freqs = spec.freqs if modality == SSVEP else ()
+    return epochs, build_recipe(modality, training=epochs, shrinkage="auto", freqs=freqs)
+
+
+class TestOneFeaturize:
+    @pytest.mark.parametrize("modality", [MI, ERP_MULTI, P300, SSVEP])
+    def test_matches_per_class_featurize(self, modality):
+        training, recipe = training_set(modality)
+        model = mdm.fit(training, recipe)
+        expected = per_class_means(training, recipe)
+        for mean, oracle in zip(model.means, expected, strict=True):
+            np.testing.assert_array_equal(mean.values, oracle.values)
+        assert model.counts == tuple(
+            sum(e.label == z for e in training) for z in model.class_ids
+        )
+
+    def test_featurizes_once(self, rng, monkeypatch):
+        calls = []
+        real = mdm.featurize
+        monkeypatch.setattr(
+            mdm, "featurize", lambda epochs, recipe: calls.append(len(epochs)) or real(epochs, recipe)
+        )
+        epochs = [mi_epochs(rng, label=z) for z in (1, 0, 2, 1, 0, 2, 0)]
+        epochs.append(mi_epochs(rng, label=None))
+        mdm.fit(epochs, MI_RECIPE)
+        assert calls == [7]
+
+    def test_shapes_mixed_across_classes_refused(self, rng):
+        """Each class alone has one shape, but the training set has two."""
+        epochs = [mi_epochs(rng, t=64, label=0) for _ in range(2)]
+        epochs += [mi_epochs(rng, t=32, label=1) for _ in range(2)]
+        with pytest.raises(ContractError, match="share one shape"):
+            mdm.fit(epochs, MI_RECIPE)
+
+
+class TestDistanceRows:
+    def test_rows_are_read_only_views(self):
+        table = np.array([[1.0, 2.0], [0.0, 3.0], [4.0, 4.0]])
+        rows = DistanceVector._rows(table, (3, 7))
+        assert [dv.argmin_class() for dv in rows] == [3, 3, 3]
+        for row, dv in zip(table, rows, strict=True):
+            np.testing.assert_array_equal(dv.values, row)
+            assert np.shares_memory(dv.values, table) and not dv.values.flags.writeable
+            assert dv.class_ids == (3, 7)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_refused_as_one_vector_is(self, bad):
+        table = np.ones((3, 2))
+        table[2, 1] = bad
+        with pytest.raises(ContractError, match="distances must be finite and nonnegative"):
+            DistanceVector._rows(table, (0, 1))
+        with pytest.raises(ContractError, match="distances must be finite and nonnegative"):
+            DistanceVector(table[2], (0, 1))
+
+    def test_feature_distances_are_pair_distances(self, rng):
+        model = model_from_means([random_spd(rng, 4) for _ in range(3)])
+        feats = [random_spd(rng, 4) for _ in range(5)]
+        for dv, f in zip(mdm.feature_distances(model, feats), feats, strict=True):
+            assert dv.values.tolist() == [riemann_distance(m, f) for m in model.means]
 
 
 class TestDistancesPredict:
@@ -337,3 +438,19 @@ class TestAuc:
             scores += [(0.0, 0), (0.0, 1)]
         flipped = [(-s, l) for s, l in scores]
         assert mdm.auc(scores) + mdm.auc(flipped) == pytest.approx(1.0)
+
+
+@given(
+    st.lists(
+        st.one_of(st.integers(-3, 3), st.floats(allow_nan=False, width=16)),
+        min_size=1,
+        max_size=40,
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_average_ranks_equal_rankdata(values):
+    """The AUC's ranks, ties included, equal scipy's rankdata bit for bit."""
+    from scipy.stats import rankdata
+
+    v = np.array(values, dtype=float)
+    assert mdm._average_ranks(v).tobytes() == rankdata(v).tobytes()

@@ -61,6 +61,90 @@ class TestEpoch:
         assert np.all(np.abs(out.data.sum(axis=1)) <= 1e-6 * 500 * rms)
 
 
+def one_epoch_demean(e):
+    """demean as it was before stacks: a new epoch from the epoch's data
+    less its per-channel mean."""
+    return e.with_data(e.data - e.data.mean(axis=1, keepdims=True))
+
+
+class TestEpochRows:
+    def test_rows_are_read_only_views(self, rng):
+        data = rng.standard_normal((3, 2, 10))
+        epochs = Epoch._rows(data, 128.0, [0, None, 1], ("a", "b"))
+        assert [e.label for e in epochs] == [0, None, 1]
+        for row, e in zip(data, epochs):
+            assert np.shares_memory(e.data, data) and not e.data.flags.writeable
+            np.testing.assert_array_equal(e.data, row)
+            assert e.channels == ("a", "b") and e.fs == 128.0
+        assert not data.flags.writeable
+
+    def test_default_channel_names(self, rng):
+        (e,) = Epoch._rows(rng.standard_normal((1, 3, 10)), 128.0, [None], ())
+        assert e.channels == ("ch1", "ch2", "ch3")
+
+    @pytest.mark.parametrize(
+        "shape, fs, channels, message",
+        [((2, 2, 1), 128.0, (), "2 samples"),
+         ((2, 0, 10), 128.0, (), "1 channel"),
+         ((2, 2, 10), np.inf, (), "sampling rate"),
+         ((2, 2, 10), 128.0, ("a",), "channel names")],
+    )
+    def test_checks_of_one_epoch(self, shape, fs, channels, message):
+        with pytest.raises(ContractError, match=message):
+            Epoch._rows(np.zeros(shape), fs, [None] * shape[0], channels)
+        with pytest.raises(ContractError, match=message):
+            Epoch(np.zeros(shape[1:]), fs=fs, channels=channels)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_stack_refused(self, rng, value):
+        data = rng.standard_normal((4, 2, 10))
+        data[3, 1, 7] = value
+        with pytest.raises(ContractError, match="epoch data must be finite"):
+            Epoch._rows(data, 128.0, [None] * 4, ())
+
+
+class TestStackedDemean:
+    @given(
+        k=st.integers(1, 6),
+        n=st.integers(1, 5),
+        t=st.integers(2, 300),
+        log_scale=st.floats(-6.0, 6.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_equals_one_epoch_at_a_time(self, k, n, t, log_scale, seed):
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log_scale
+        epochs = [
+            Epoch(scale * (rng.standard_normal((n, t)) + rng.standard_normal((n, 1))),
+                  fs=250.0, label=i % 2, channels=tuple(f"c{j}" for j in range(n)))
+            for i in range(k)
+        ]
+        out = demean(epochs)
+        for got, e in zip(out, epochs, strict=True):
+            expected = one_epoch_demean(e)
+            np.testing.assert_array_equal(got.data, expected.data)
+            assert (got.fs, got.label, got.channels) == (e.fs, e.label, e.channels)
+            assert not got.data.flags.writeable
+
+    def test_one_epoch_is_not_a_stack(self, rng):
+        e = Epoch(rng.standard_normal((2, 50)) + 1.0, fs=128.0, label=1)
+        out = demean(e)
+        assert isinstance(out, Epoch)
+        np.testing.assert_array_equal(out.data, one_epoch_demean(e).data)
+
+    def test_empty_list(self):
+        assert demean([]) == []
+
+    @pytest.mark.parametrize("other", [((2, 40), 128.0), ((3, 50), 128.0), ((2, 50), 256.0)])
+    def test_mixed_epochs_refused(self, rng, other):
+        shape, fs = other
+        epochs = [Epoch(rng.standard_normal((2, 50)), fs=128.0),
+                  Epoch(rng.standard_normal(shape), fs=fs)]
+        with pytest.raises(ContractError, match="share one shape and sampling rate"):
+            demean(epochs)
+
+
 class TestBandpass:
     def test_in_band_amplitude_preserved(self):
         e = sine_epoch(15.0)
@@ -206,6 +290,44 @@ def run_filter_banks(rng):
     for n_samples in (128, 256, 768, 128, 768):
         e = Epoch(rng.standard_normal((4, n_samples)), fs=128.0)
         ssvep_filter_bank(e, [12.0, 15.0, 20.0])
+
+
+def pre_stack_bandpass(e, spec):
+    """bandpass as it was before it built one epoch per call: the trimmed
+    filter output became an epoch, then demean made a second one."""
+    sos, zi = preprocessing._butter_sos(spec.order, spec.low_hz, spec.high_hz, e.fs)
+    sos = sos.copy()
+    zi = zi.reshape(len(sos), 1, 2)
+    n = min(3 * (spec.order + 1), e.n_samples - 1)
+    x = e.data
+    ext = np.concatenate(
+        (2 * x[:, :1] - x[:, n:0:-1], x, 2 * x[:, -1:] - x[:, -2 : -(n + 2) : -1]), axis=1
+    )
+    y, _ = signal.sosfilt(sos, ext, axis=1, zi=zi * ext[:, :1])
+    y, _ = signal.sosfilt(sos, y[:, ::-1], axis=1, zi=zi * y[:, -1:])
+    return one_epoch_demean(e.with_data(y[:, ::-1][:, n:-n]))
+
+
+@given(
+    n=st.integers(1, 6),
+    n_samples=st.integers(2, 1000),
+    fs=st.sampled_from([128.0, 250.0, 512.0]),
+    order=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_filter_bank_equals_pre_stack_bandpass(n, n_samples, fs, order, seed):
+    """Each band of the SSVEP filter bank equals, bit for bit, the band-pass
+    that built two epochs per call."""
+    rng = np.random.default_rng(seed)
+    e = Epoch(rng.standard_normal((n, n_samples)) + 3.0, fs=fs, label=2)
+    freqs = [12.0, 15.0, 20.0]
+    bank = ssvep_filter_bank(e, freqs, width_hz=2.0, order=order)
+    for f, band in zip(freqs, bank, strict=True):
+        expected = pre_stack_bandpass(e, BandSpec(f - 1.0, f + 1.0, order))
+        np.testing.assert_array_equal(band.data, expected.data)
+        assert (band.fs, band.label, band.channels) == (e.fs, e.label, e.channels)
+        assert not band.data.flags.writeable
 
 
 class TestDecimate:

@@ -194,6 +194,49 @@ def test_stacked_distance_is_pairwise_distance(dim, k, log_cond, seed):
     assert [riemann_distance(c1, c) for c in stack] == expected
 
 
+@given(
+    st.integers(1, 8),
+    st.integers(1, 4),
+    st.integers(1, 6),
+    st.floats(0.0, 6.0),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_distance_table_is_per_mean_distances(dim, m, k, log_cond, seed):
+    """A stack of m <= 4 means against k <= 6 features of dim <= 8 at
+    condition <= 1e6 gives the (k, m) table whose column j is, bit for bit,
+    the distances from mean j to the stack, one call per mean."""
+    rng = np.random.default_rng(seed)
+    means = [random_spd(rng, dim, cond=10.0**log_cond) for _ in range(m)]
+    feats = [random_spd(rng, dim, cond=10.0**log_cond) for _ in range(k)]
+    table = riemann_distance(means, feats)
+    assert table.shape == (k, m)
+    expected = np.stack([riemann_distance(c, feats) for c in means], axis=-1)
+    assert table.tolist() == expected.tolist()
+    assert table.tolist() == [[pair_distance(c, f) for c in means] for f in feats]
+
+
+class TestDistanceShapes:
+    def test_stack_against_one_matrix(self, rng):
+        means = [random_spd(rng, 3) for _ in range(4)]
+        f = random_spd(rng, 3)
+        d = riemann_distance(means, f)
+        assert d.shape == (4,)
+        assert d.tolist() == [riemann_distance(c, f) for c in means]
+
+    def test_empty_stacks(self, rng):
+        means = [random_spd(rng, 3) for _ in range(2)]
+        assert riemann_distance(means, []).shape == (0, 2)
+        assert riemann_distance([], [random_spd(rng, 3)]).shape == (1, 0)
+
+    @pytest.mark.parametrize("position", [0, 1, 3])
+    def test_dimension_mismatch_in_either_stack(self, rng, position):
+        mats = [random_spd(rng, 3) for _ in range(4)]
+        mats[position] = random_spd(rng, 4)
+        with pytest.raises(ContractError, match="dimension mismatch"):
+            riemann_distance(mats[:2], mats[2:])
+
+
 class TestGeodesic:
     def test_endpoints_exact(self, rng):
         a = random_spd(rng, 4)
@@ -238,10 +281,12 @@ class TestGeodesic:
     [
         lambda a, b: riemann_distance(a, b),
         lambda a, b: riemann_distance(a, [a, b]),
+        lambda a, b: riemann_distance([a, a], [a, b]),
         lambda a, b: geodesic(a, b, 0.5),
         lambda a, b: karcher_residual(a, [b]),
     ],
-    ids=["riemann_distance", "riemann_distance_stack", "geodesic", "karcher_residual"],
+    ids=["riemann_distance", "riemann_distance_stack", "riemann_distance_table", "geodesic",
+         "karcher_residual"],
 )
 def test_overflowing_whitening_is_numeric_error(call):
     """Whitening diag(1e300) by diag(1e-300)^-1/2 overflows, and the
