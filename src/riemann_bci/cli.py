@@ -65,7 +65,7 @@ def _parse_shrinkage(text: str):
 def _preprocess(epochs, args):
     if args.band:
         spec = BandSpec(args.band[0], args.band[1], order=args.band_order)
-        epochs = [bandpass(e, spec) for e in epochs]
+        epochs = bandpass(epochs, spec)
     if args.decimate_to is not None:
         epochs = [decimate(e, args.decimate_to) for e in epochs]
     return demean(epochs)

@@ -33,7 +33,14 @@ from .preprocessing import (
     _stacked_data,
     ssvep_filter_bank,
 )
-from .spd import Evd, SpdMatrix, decompose, not_positive_definite
+from .spd import (
+    SPD_EIGENVALUE_RTOL,
+    Evd,
+    SpdMatrix,
+    decompose,
+    not_positive_definite,
+    symmetrized,
+)
 
 MI = "mi"
 ERP_MULTI = "erp_multi"
@@ -50,6 +57,9 @@ AUTO_SHRINKAGE_LADDER = (1e-8, 1e-6, 1e-4, 1e-2, 1e-1)
 # classification.  The geometric mean of such a set costs about the same
 # at either level: four stacked evaluations of its 50 matrices.
 DEFAULT_ERP_SHRINKAGE = 1e-2
+
+# The smallest ridge g * trace(C) / dim that keeps full precision.
+_FULL_PRECISION_RIDGE = np.finfo(float).tiny / np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,8 +150,7 @@ def _shrunk(raw: np.ndarray, target: np.ndarray, gamma: float | str) -> list[Spd
         _validate_shrinkage(gamma)
     out, rows = [None] * len(raw), list(range(len(raw)))
     for g in AUTO_SHRINKAGE_LADDER if gamma == "auto" else (float(gamma),):
-        ridge = g * target[:, None, :] * np.eye(raw.shape[-1])
-        values, (vectors, w), ok = decompose(raw if g == 0.0 else (1.0 - g) * raw + ridge)
+        values, (vectors, w), ok = decompose(_blend(raw, target, g))
         passed = ok.tolist()
         for i, row in enumerate(rows):
             if passed[i]:
@@ -157,6 +166,14 @@ def _shrunk(raw: np.ndarray, target: np.ndarray, gamma: float | str) -> list[Spd
         "no shrinkage level in the auto ladder produced a positive-definite "
         "matrix (is the input identically zero?)"
     ) from error
+
+
+def _blend(raw: np.ndarray, target: np.ndarray, g: float) -> np.ndarray:
+    """(1 - g) C + g * target * I of each C in the stack ``raw``, ``target``
+    (k, 1) or (k, dim); C itself at g = 0."""
+    if g == 0.0:
+        return raw
+    return (1.0 - g) * raw + g * target[:, None, :] * np.eye(raw.shape[-1])
 
 
 def _stacked_cov(rows: list[np.ndarray]) -> np.ndarray:
@@ -185,13 +202,39 @@ def super_trial_cov(
     Every row group is a zero-mean (channels, T) array over the same T
     samples, stacked top to bottom; a single group gives the plain spatial
     sample covariance.  Groups stacked as (k, channels, T) give a list of k.
+    Where the shrinkage bound below decides the SPD check, the blend is
+    returned undecomposed; elsewhere it goes through :func:`shrink`.
     """
     counts = [r.shape[-1] for r in rows]
     if len(set(counts)) > 1:
         raise ContractError(f"super-trial rows must share one sample count, got {counts}")
     if counts[0] < 2:
         raise ContractError("sample covariance needs at least 2 samples")
-    return shrink(_stacked_cov(rows), shrinkage)
+    _validate_shrinkage(shrinkage)
+    c = _stacked_cov(rows)
+    stack = c.reshape((-1,) + c.shape[-2:])
+    dim = stack.shape[-1]
+    g = AUTO_SHRINKAGE_LADDER[0] if shrinkage == "auto" else float(shrinkage)
+    target = stack.trace(axis1=1, axis2=2)[:, None] / dim
+    # The SPD check of a Gram blend, decided without eigenvalues.  The
+    # eigenvalues of B = (1 - g) C + g tau I, tau = trace(C) / dim (Ledoit &
+    # Wolf's shrinkage form, J. Multivariate Anal. 88(2), 2004), are
+    # (1 - g) lambda_i(C) + g tau, and the Gram matrix C has 0 <= lambda_i(C)
+    # <= trace(C), so they lie in [g tau, dim tau]: lambda_min / lambda_max
+    # >= g / dim.  The check asks for a ratio above dim * SPD_EIGENVALUE_RTOL,
+    # which g >= 4 dim^2 SPD_EIGENVALUE_RTOL meets four times over.  The
+    # factor 4 is the margin for rounding, which by Weyl's inequality moves
+    # each eigenvalue by at most the norm of the error: the spare
+    # 3 dim^2 SPD_EIGENVALUE_RTOL tau is about 1e4 times eigh's backward
+    # error (dim eps lambda_max <= dim^2 eps tau) and exceeds the Gram
+    # product's worst case (T eps trace C) up to about 1e4 dim samples.
+    # Below g tau = tiny / eps the ridge loses precision, so a stack with
+    # such a row (or a NaN trace) takes the decomposition, as do g = 0 and
+    # 'auto' from dim 51 on.  An infinite trace fails the finite check.
+    if g >= 4 * dim**2 * SPD_EIGENVALUE_RTOL and np.all(g * target >= _FULL_PRECISION_RIDGE):
+        out = [SpdMatrix._checked(v, None) for v in symmetrized(_blend(stack, target, g))]
+        return out if c.ndim == 3 else out[0]
+    return shrink(c, shrinkage)
 
 
 def build_prototypes(

@@ -28,7 +28,7 @@ class DistanceVector:
     class_ids: tuple[int, ...]
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
+        v = np.array(self.values, dtype=np.float64)
         if v.shape != (len(self.class_ids),):
             raise ContractError(
                 f"{v.shape} distances for {len(self.class_ids)} classes"

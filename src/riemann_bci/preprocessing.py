@@ -166,27 +166,39 @@ def _butter_sos(
     return sos, zi
 
 
-def bandpass(e: Epoch, spec: BandSpec) -> Epoch:
+def bandpass(e: Epoch | list[Epoch], spec: BandSpec) -> Epoch | list[Epoch]:
     """Zero-phase Butterworth IIR band-pass, applied per channel, then demeaned.
 
     The filter runs forward and backward (squared magnitude response, no
     group delay) with odd edge padding of about three filter orders.  The
     design and its initial state are made once per (order, band, fs) and
     cached; the result equals ``scipy.signal.sosfiltfilt`` with
-    ``padtype="odd"`` and the same ``padlen`` bit for bit.
+    ``padtype="odd"`` and the same ``padlen`` bit for bit.  A list of epochs
+    of one shape and sampling rate is filtered as one stack, bit-identical
+    to one epoch at a time.
     """
-    if spec.high_hz >= e.fs / 2.0:
+    if isinstance(e, Epoch):
+        return _bandpassed([e], e.data, spec)[0]
+    if not e:
+        return []
+    data = _stacked_data(e, "band-passed")
+    return _bandpassed(e, data.reshape(-1, data.shape[-1]), spec)
+
+
+def _bandpassed(epochs: list[Epoch], x: np.ndarray, spec: BandSpec) -> list[Epoch]:
+    """:func:`bandpass` of ``epochs``, whose channels are the rows of ``x``."""
+    fs = epochs[0].fs
+    if spec.high_hz >= fs / 2.0:
         raise ContractError(
-            f"band edge {spec.high_hz} Hz must lie below Nyquist ({e.fs / 2.0} Hz)"
+            f"band edge {spec.high_hz} Hz must lie below Nyquist ({fs / 2.0} Hz)"
         )
     from scipy import signal
 
-    sos, zi = _butter_sos(spec.order, spec.low_hz, spec.high_hz, e.fs)
+    sos, zi = _butter_sos(spec.order, spec.low_hz, spec.high_hz, fs)
     # scipy's sosfilt refuses a read-only array, so each call filters with a copy.
     sos = sos.copy()
     zi = zi.reshape(len(sos), 1, 2)
-    n = min(3 * (spec.order + 1), e.n_samples - 1)
-    x = e.data
+    n = min(3 * (spec.order + 1), x.shape[1] - 1)
     # sosfiltfilt's steps, in its order: odd extension, then a forward and a
     # backward pass that each start in the steady state of their first sample.
     ext = np.concatenate(
@@ -196,7 +208,8 @@ def bandpass(e: Epoch, spec: BandSpec) -> Epoch:
     y, _ = signal.sosfilt(sos, y[:, ::-1], axis=1, zi=zi * y[:, -1:])
     # demeaned in time order, as one epoch of the trimmed result would be
     y = _demeaned(np.ascontiguousarray(y[:, ::-1][:, n:-n]))
-    return Epoch._rows(y[None], e.fs, [e.label], e.channels)[0]
+    y = y.reshape(len(epochs), -1, y.shape[1])
+    return Epoch._rows(y, fs, [ep.label for ep in epochs], epochs[0].channels)
 
 
 def decimate(e: Epoch, target_fs: float) -> Epoch:

@@ -62,12 +62,19 @@ def _rebuild(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     return _symmetrize((u * w[..., None, :]) @ u.swapaxes(-1, -2))
 
 
-def decompose(a: np.ndarray) -> tuple[np.ndarray, Evd, np.ndarray]:
-    """Symmetrized ``a``, its eigendecomposition and the SPD check per matrix."""
+def symmetrized(a: np.ndarray) -> np.ndarray:
+    """Read-only symmetrized ``a`` (one matrix or a stack); its entries must
+    be finite."""
     sym = _symmetrize(a)
     if not np.isfinite(sym).all():
         raise ContractError("matrix entries must be finite")
     sym.flags.writeable = False
+    return sym
+
+
+def decompose(a: np.ndarray) -> tuple[np.ndarray, Evd, np.ndarray]:
+    """Symmetrized ``a``, its eigendecomposition and the SPD check per matrix."""
+    sym = symmetrized(a)
     w, u = _eigh_descending(sym)
     return sym, Evd(u, w), w[..., -1] > sym.shape[-1] * w[..., 0] * SPD_EIGENVALUE_RTOL
 
@@ -81,12 +88,15 @@ def not_positive_definite(w: np.ndarray) -> NotPositiveDefiniteError:
 class SpdMatrix:
     """Symmetric positive-definite matrix with its eigendecomposition cached.
 
-    The input is symmetrized on construction.  The decomposition is computed
-    eagerly (it is needed for the positive-definiteness check anyway), which
-    also keeps instances safely shareable across threads.
+    The input is symmetrized on construction and decomposed at once, since
+    the positive-definiteness check needs the eigenvalues.  A matrix known
+    to pass the check without them (see ``features.super_trial_cov``) is
+    decomposed on first use of ``eig``.  That cache, like the roots' caches,
+    is idempotent: threads racing to fill it compute the same arrays, so
+    instances stay safely shareable across threads.
     """
 
-    __slots__ = ("values", "eig", "_sqrt", "_inv_sqrt")
+    __slots__ = ("values", "_eig", "_sqrt", "_inv_sqrt")
 
     def __init__(self, values) -> None:
         a = np.asarray(values, dtype=np.float64)
@@ -97,14 +107,23 @@ class SpdMatrix:
         sym, eig, ok = decompose(a)
         if not ok:
             raise not_positive_definite(eig.eigenvalues)
-        self.values, self.eig, self._sqrt, self._inv_sqrt = sym, eig, None, None
+        self.values, self._eig, self._sqrt, self._inv_sqrt = sym, eig, None, None
 
     @classmethod
-    def _checked(cls, values: np.ndarray, eig: Evd) -> "SpdMatrix":
-        """One matrix of a stacked :func:`decompose` that passed the check."""
+    def _checked(cls, values: np.ndarray, eig: Evd | None) -> "SpdMatrix":
+        """One read-only symmetric matrix known to pass the check: a matrix of
+        a stacked :func:`decompose` with its ``eig``, or one whose check was
+        decided without eigenvalues (``eig=None``, decomposed on first use)."""
         m = cls.__new__(cls)
-        m.values, m.eig, m._sqrt, m._inv_sqrt = values, eig, None, None
+        m.values, m._eig, m._sqrt, m._inv_sqrt = values, eig, None, None
         return m
+
+    @property
+    def eig(self) -> Evd:
+        if self._eig is None:
+            w, u = _eigh_descending(self.values)
+            self._eig = Evd(u, w)
+        return self._eig
 
     @property
     def dim(self) -> int:

@@ -151,6 +151,37 @@ class TestEval:
             rows = {r["metric"]: float(r["value"]) for r in csv.DictReader(fh)}
         assert rows["auc"] >= 0.8
 
+    def test_file_is_band_passed_as_one_stack(self, tmp_path, monkeypatch):
+        import scipy.signal
+
+        from riemann_bci import cli, preprocessing
+
+        data = tmp_path / "mi.dat"
+        assert run(["synth", "--modality", "mi", "--classes", "2", "--trials", "50",
+                    "--seed", "7", "--out", str(data)]) == 0
+        calls = {"bandpass": 0, "sosfilt": 0}
+
+        def counted(owner, name):
+            real = getattr(owner, name)
+
+            def counting(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counting)
+
+        counted(cli, "bandpass")
+        counted(scipy.signal, "sosfilt")
+        fit = ["fit", "--modality", "mi", "--band", "8", "30", "--in", str(data)]
+        assert run(fit + ["--out", str(tmp_path / "m.json")]) == 0
+        assert calls == {"bandpass": 1, "sosfilt": 2}
+        # the same model bytes as band-passing one epoch at a time
+        monkeypatch.setattr(
+            cli, "bandpass", lambda es, spec: [preprocessing.bandpass(e, spec) for e in es]
+        )
+        assert run(fit + ["--out", str(tmp_path / "each.json")]) == 0
+        assert (tmp_path / "m.json").read_bytes() == (tmp_path / "each.json").read_bytes()
+
     def test_p300_report_includes_auc(self, tmp_path):
         data = tmp_path / "p300.dat"
         run(["synth", "--modality", "p300", "--trials", "25", "--channels", "6",

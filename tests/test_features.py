@@ -24,7 +24,7 @@ from riemann_bci.features import (
     _stacked_cov,
 )
 from riemann_bci.preprocessing import Epoch, ssvep_filter_bank
-from riemann_bci.spd import SpdMatrix
+from riemann_bci.spd import SPD_EIGENVALUE_RTOL, SpdMatrix, decompose
 
 from conftest import random_spd
 
@@ -696,3 +696,115 @@ def test_auto_is_the_first_level_below_dim_100(dim, rank, exponent, seed):
     auto, first = shrink(c, "auto"), shrink(c, AUTO_SHRINKAGE_LADDER[0])
     assert auto.values.tobytes() == first.values.tobytes()
     assert auto.eig.vectors.tobytes() == first.eig.vectors.tobytes()
+
+
+def count_eigh(monkeypatch):
+    """Record every ``np.linalg.eigh`` call from here on."""
+    calls = []
+    real = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(1, 50),
+    k=st.integers(1, 3),
+    extra_samples=st.integers(0, 150),
+    exponent=st.integers(-140, 140),
+    zeroed=st.integers(0, 49),
+    duplicated=st.integers(0, 49),
+    weight=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gram_bound_implies_the_spd_check(
+    dim, k, extra_samples, exponent, zeroed, duplicated, weight, seed
+):
+    """Every Gram blend the shrinkage bound returns undecomposed passes the
+    eigenvalue check of ``spd.decompose``: dim 1-50, T from 2 to 3 dim + 2,
+    scales 10^+-140, zeroed and duplicated channels, g from the bound to 1."""
+    rng = np.random.default_rng(seed)
+    t = 2 + extra_samples % (3 * dim + 1)
+    x = rng.standard_normal((k, dim, t)) * 10.0**exponent
+    x[:, : min(zeroed, dim - 1)] = 0.0
+    x[:, dim - min(duplicated, dim - 1) :] = x[:, -1:]
+    x -= x.mean(axis=-1, keepdims=True)
+    bound = 4 * dim**2 * SPD_EIGENVALUE_RTOL
+    g = bound ** (1.0 - weight)  # log-uniform over [bound, 1]
+    for shrinkage in (g, "auto"):
+        feats = super_trial_cov([x], shrinkage)
+        assert len(feats) == k
+        if all(f._eig is None for f in feats):
+            assert decompose(np.stack([f.values for f in feats]))[2].all()
+
+
+class TestGramBound:
+    """Where the shrinkage bound decides a super-trial's SPD check, and what
+    it leaves to the eigendecomposition."""
+
+    def test_lazy_eig_is_its_row_of_a_stacked_decompose(self, rng):
+        x = rng.standard_normal((6, 8, 20))
+        feats = super_trial_cov([x], 1e-2)
+        assert all(f._eig is None for f in feats)
+        _, (vectors, w), ok = decompose(np.stack([f.values for f in feats]))
+        assert ok.all()
+        for i, f in enumerate(feats):
+            assert f.eig.eigenvalues.tobytes() == w[i].tobytes()
+            assert f.eig.vectors.tobytes() == vectors[i].tobytes()
+            assert f.eig is f.eig  # decomposed once, then cached
+
+    @pytest.mark.parametrize("shrinkage", ["auto", 1e-2])
+    def test_p300_featurize_decomposes_nothing(self, rng, monkeypatch, shrinkage):
+        recipe = stack_recipes(rng, 8, 64)[P300](shrinkage)
+        epochs = float_epochs(rng, 12, 8, 64)
+        calls = count_eigh(monkeypatch)
+        feats = featurize(epochs, recipe)
+        assert calls == []
+        feats[0].eig
+        assert calls == [(16, 16)]
+
+    @pytest.mark.parametrize(
+        "modality, shrinkage", [(MI, 0.0), (SSVEP, "auto"), (SSVEP, 1e-2)]
+    )
+    def test_one_stacked_decomposition_per_ladder_level(
+        self, rng, monkeypatch, modality, shrinkage
+    ):
+        recipe = stack_recipes(rng, 6, 256)[modality](shrinkage)
+        epochs = float_epochs(rng, 5, 6, 256)
+        calls = count_eigh(monkeypatch)
+        featurize(epochs, recipe)
+        assert len(calls) == 1 and calls[0][0] == 5
+
+    def test_auto_above_dim_50_decomposes(self, rng, monkeypatch):
+        calls = count_eigh(monkeypatch)
+        feats = super_trial_cov([rng.standard_normal((51, 60))], "auto")
+        assert feats._eig is not None and len(calls) == 1
+
+    def test_public_shrink_still_checks(self):
+        with pytest.raises(NotPositiveDefiniteError):
+            shrink(np.diag([1.0, -0.5]), 1e-2)
+
+    def test_invalid_shrinkage_refused(self, rng):
+        with pytest.raises(ContractError, match="shrinkage must be in"):
+            super_trial_cov([rng.standard_normal((3, 10))], 2.0)
+
+    @pytest.mark.parametrize(
+        "shrinkage, message", [("auto", "auto ladder"), (1e-2, r"eigenvalues in \[0")]
+    )
+    def test_all_zero_epoch_refused(self, shrinkage, message):
+        with pytest.raises(NotPositiveDefiniteError, match=message):
+            featurize([Epoch(np.zeros((3, 40)), fs=128.0)], FeatureRecipe(MI, shrinkage=shrinkage))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("shrinkage", ["auto", 1e-2])
+    def test_non_finite_rows_refused(self, bad, shrinkage):
+        rows = np.ones((3, 10))
+        rows[1, 4] = bad
+        with pytest.raises(ContractError, match="matrix entries must be finite"):
+            super_trial_cov([rows], shrinkage)

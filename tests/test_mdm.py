@@ -175,6 +175,12 @@ class TestDistanceRows:
             assert np.shares_memory(dv.values, table) and not dv.values.flags.writeable
             assert dv.class_ids == (3, 7)
 
+    def test_public_constructor_copies_its_input(self):
+        v = np.array([1.0, 2.0])
+        dv = DistanceVector(v, (0, 1))
+        v[0] = 5.0
+        assert dv.values.tolist() == [1.0, 2.0] and not dv.values.flags.writeable
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
     def test_refused_as_one_vector_is(self, bad):
         table = np.ones((3, 2))

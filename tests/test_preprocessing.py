@@ -330,6 +330,51 @@ def test_filter_bank_equals_pre_stack_bandpass(n, n_samples, fs, order, seed):
         assert not band.data.flags.writeable
 
 
+@given(
+    k=st.integers(1, 6),
+    n=st.integers(1, 5),
+    n_samples=st.integers(2, 400),
+    fs=st.sampled_from([128.0, 250.0]),
+    order=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_bandpass_of_a_list_is_per_epoch_bandpass(k, n, n_samples, fs, order, seed):
+    """A list is filtered as one stack, bit-identical to one epoch at a time."""
+    rng = np.random.default_rng(seed)
+    names = tuple(f"c{i}" for i in range(n))
+    epochs = [
+        Epoch(rng.standard_normal((n, n_samples)) + 3.0, fs=fs, label=i % 3, channels=names)
+        for i in range(k)
+    ]
+    spec = BandSpec(8.0, 30.0, order)
+    stacked = bandpass(epochs, spec)
+    assert len(stacked) == k
+    for out, e in zip(stacked, epochs, strict=True):
+        alone = bandpass(e, spec)
+        assert out.data.tobytes() == alone.data.tobytes() and out.data.shape == alone.data.shape
+        assert (out.fs, out.label, out.channels) == (alone.fs, alone.label, alone.channels)
+        assert not out.data.flags.writeable
+
+
+class TestBandpassList:
+    def test_empty_list(self):
+        assert bandpass([], BandSpec(8.0, 30.0)) == []
+
+    @pytest.mark.parametrize("other", [((2, 40), 128.0), ((3, 50), 128.0), ((2, 50), 256.0)])
+    def test_mixed_epochs_refused(self, rng, other):
+        shape, fs = other
+        epochs = [Epoch(rng.standard_normal((2, 50)), fs=128.0),
+                  Epoch(rng.standard_normal(shape), fs=fs)]
+        with pytest.raises(ContractError, match="share one shape and sampling rate"):
+            bandpass(epochs, BandSpec(8.0, 30.0))
+
+    def test_band_above_nyquist_refused(self, rng):
+        epochs = [Epoch(rng.standard_normal((2, 50)), fs=64.0) for _ in range(2)]
+        with pytest.raises(ContractError, match="below Nyquist"):
+            bandpass(epochs, BandSpec(8.0, 40.0))
+
+
 class TestDecimate:
     def test_512_to_128(self):
         e = Epoch(np.arange(512, dtype=float)[None, :], fs=512.0)
