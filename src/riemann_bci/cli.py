@@ -67,7 +67,7 @@ def _preprocess(epochs, args):
         spec = BandSpec(args.band[0], args.band[1], order=args.band_order)
         epochs = bandpass(epochs, spec)
     if args.decimate_to is not None:
-        epochs = [decimate(e, args.decimate_to) for e in epochs]
+        epochs = decimate(epochs, args.decimate_to)
     return demean(epochs)
 
 

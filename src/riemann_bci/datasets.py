@@ -35,7 +35,7 @@ import numpy as np
 from .errors import ContractError, FileFormatError
 from .features import FeatureRecipe, Prototype
 from .mdm import MdmModel
-from .preprocessing import Epoch
+from .preprocessing import Epoch, _stacked_data
 from .spd import SpdMatrix
 
 FILE_VERSION = 1
@@ -63,15 +63,12 @@ def write_epochs(path, epochs: list[Epoch], modality: str = "raw") -> None:
     """Write epochs to ``path``; lossless round trip at float32 precision."""
     path = Path(path)
     if epochs:
-        n = epochs[0].n_channels
-        t = epochs[0].n_samples
+        data = _stacked_data(epochs, "written")
+        n, t = data.shape[1:]
         fs = epochs[0].fs
         names = epochs[0].channels
-        for e in epochs:
-            if e.n_channels != n or e.n_samples != t or e.fs != fs:
-                raise ContractError("all epochs in a file must share shape and fs")
         labels = [(-1 if e.label is None else int(e.label)) for e in epochs]
-        payload = np.stack([e.data for e in epochs]).astype("<f4").tobytes()
+        payload = data.astype("<f4").tobytes()
     else:
         n = t = 0
         fs = 0.0

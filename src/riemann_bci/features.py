@@ -26,12 +26,13 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import ContractError, NotPositiveDefiniteError
+from . import preprocessing
 from .preprocessing import (
+    BandSpec,
     Epoch,
     SSVEP_BAND_ORDER,
     SSVEP_BAND_WIDTH_HZ,
     _stacked_data,
-    ssvep_filter_bank,
 )
 from .spd import (
     SPD_EIGENVALUE_RTOL,
@@ -170,7 +171,10 @@ def _shrunk(raw: np.ndarray, target: np.ndarray, gamma: float | str) -> list[Spd
 
 def _blend(raw: np.ndarray, target: np.ndarray, g: float) -> np.ndarray:
     """(1 - g) C + g * target * I of each C in the stack ``raw``, ``target``
-    (k, 1) or (k, dim); C itself at g = 0."""
+    (k, 1) or (k, dim); C itself at g = 0.  A non-finite entry is refused
+    here, before the blend's arithmetic can warn about it."""
+    if not np.isfinite(raw).all():
+        raise ContractError("matrix entries must be finite")
     if g == 0.0:
         return raw
     return (1.0 - g) * raw + g * target[:, None, :] * np.eye(raw.shape[-1])
@@ -237,31 +241,34 @@ def super_trial_cov(
     return shrink(c, shrinkage)
 
 
+def by_class(epochs: list[Epoch]) -> dict[int, list[Epoch]]:
+    """The labeled ``epochs`` grouped by label, in ascending class id, each
+    group in input order."""
+    groups: dict[int, list[Epoch]] = {}
+    for e in epochs:
+        if e.label is not None:
+            groups.setdefault(e.label, []).append(e)
+    return dict(sorted(groups.items()))
+
+
 def build_prototypes(
     training: list[Epoch], class_ids: list[int] | None = None
 ) -> list[Prototype]:
-    """Element-wise mean epoch per class, in ascending class-id order."""
-    labeled = [e for e in training if e.label is not None]
-    if not labeled:
+    """Element-wise mean epoch per class, in ascending class-id order.
+
+    The labeled epochs must share one shape and sampling rate.
+    """
+    groups = by_class(training)
+    if not groups:
         raise ContractError("no labeled epochs to build prototypes from")
-    shape = labeled[0].data.shape
-    for e in labeled:
-        if e.data.shape != shape:
-            raise ContractError(
-                f"epoch shape {e.data.shape} differs from {shape}"
-            )
-    available = sorted({e.label for e in labeled})
-    wanted = available if class_ids is None else sorted(class_ids)
+    data = _stacked_data([e for g in groups.values() for e in g], "prototype")
+    starts = dict(zip(groups, accumulate((len(g) for g in groups.values()), initial=0)))
     protos = []
-    for z in wanted:
-        members = [e.data for e in labeled if e.label == z]
-        if not members:
+    for z in groups if class_ids is None else sorted(class_ids):
+        if z not in groups:
             raise ContractError(f"no training epochs for class {z}")
-        protos.append(
-            Prototype(
-                data=np.mean(members, axis=0), class_id=z, n_epochs=len(members)
-            )
-        )
+        members = data[starts[z] : starts[z] + len(groups[z])]
+        protos.append(Prototype(data=np.mean(members, axis=0), class_id=z, n_epochs=len(members)))
     return protos
 
 
@@ -312,7 +319,7 @@ def build_recipe(
     elif modality in (P300, MU_P300):
         if not training:
             raise ContractError(f"{modality} recipe needs labeled training epochs")
-        labels = sorted({e.label for e in training if e.label is not None})
+        labels = list(by_class(training))
         if len(labels) < 2:
             raise ContractError("two-class recipe needs both classes in training")
         prototypes = tuple(build_prototypes(training, class_ids=[labels[-1]]))
@@ -338,12 +345,16 @@ def featurize(epochs: list[Epoch], recipe: FeatureRecipe) -> list[SpdMatrix]:
     """
     if not epochs:
         return []
-    data, fs = _stacked_data(epochs, "featurized"), epochs[0].fs
-    shape = data.shape[1:]
     if recipe.modality == SSVEP:
-        (rows,) = Epoch._rows(data.reshape(1, -1, shape[1]), fs, [None], ())
-        bank = ssvep_filter_bank(rows, list(recipe.freqs), recipe.width_hz, recipe.order)
-        return _block_cov([b.data.reshape(data.shape) for b in bank], recipe.shrinkage)
+        w = recipe.width_hz / 2.0
+        # one bandpass per band, through the preprocessing binding perfbench/tracer.py wraps
+        bands = [
+            preprocessing.bandpass(epochs, BandSpec(f - w, f + w, recipe.order))
+            for f in recipe.freqs
+        ]
+        return _block_cov([_stacked_data(b, "band-passed") for b in bands], recipe.shrinkage)
+    data = _stacked_data(epochs, "featurized")
+    shape = data.shape[1:]
     m = recipe.n_subjects
     n = shape[0] // m
     if n * m != shape[0]:

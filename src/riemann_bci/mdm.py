@@ -15,7 +15,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import ContractError, MeanConvergenceError
-from .features import FeatureRecipe, featurize
+from .features import FeatureRecipe, by_class, featurize
 from .preprocessing import Epoch
 from .spd import DEFAULT_MEAN_MAX_ITER, SpdMatrix, geometric_mean, riemann_distance
 
@@ -115,21 +115,15 @@ def fit(
     The labeled epochs share one shape and sampling rate and are
     featurized as one stack, in class-id order.
     """
-    by_class: dict[int, list[Epoch]] = {}
-    for e in training:
-        if e.label is None:
-            continue
-        by_class.setdefault(e.label, []).append(e)
-    class_ids = sorted(by_class)
+    groups = by_class(training)
+    class_ids = list(groups)
     if len(class_ids) < 2:
         raise ContractError(f"MDM requires >= 2 classes (got {len(class_ids)})")
-    for z in class_ids:
-        if len(by_class[z]) < 2:
-            raise ContractError(
-                f"class {z} has {len(by_class[z])} epochs, need >= 2"
-            )
-    counts = [len(by_class[z]) for z in class_ids]
-    feats = featurize([e for z in class_ids for e in by_class[z]], recipe)
+    counts = [len(g) for g in groups.values()]
+    for z, count in zip(class_ids, counts):
+        if count < 2:
+            raise ContractError(f"class {z} has {count} epochs, need >= 2")
+    feats = featurize([e for g in groups.values() for e in g], recipe)
     edges = list(accumulate(counts, initial=0))
     means = []
     for z, start, end in zip(class_ids, edges, edges[1:]):

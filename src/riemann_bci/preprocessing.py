@@ -1,7 +1,9 @@
 """Band-pass filtering, decimation, and epoch conditioning.
 
-Trials are represented by the immutable :class:`Epoch` container.  All
-operations return new epochs and are safe for data-parallel mapping.
+Trials are represented by the immutable :class:`Epoch` container.  Each
+stage (:func:`demean`, :func:`bandpass`, :func:`decimate`) takes one epoch
+or a list of epochs that share one shape and sampling rate, works on the
+list as one (k, n_channels, n_samples) stack and returns the same form.
 """
 
 from __future__ import annotations
@@ -62,14 +64,6 @@ class Epoch:
     def n_samples(self) -> int:
         return self.data.shape[1]
 
-    def with_data(self, data: np.ndarray, fs: float | None = None) -> "Epoch":
-        return Epoch(
-            data=data,
-            fs=self.fs if fs is None else fs,
-            label=self.label,
-            channels=self.channels,
-        )
-
 
 def _checked(a: np.ndarray, fs: float, channels) -> tuple[str, ...]:
     """Check the float64 data of one epoch or a stack of them, ``a`` of shape
@@ -114,12 +108,7 @@ def demean(e: Epoch | list[Epoch]) -> Epoch | list[Epoch]:
     A list of epochs of one shape and sampling rate is demeaned as one
     stack, bit-identical to one epoch at a time.
     """
-    if isinstance(e, Epoch):
-        return e.with_data(_demeaned(e.data.copy()))
-    if not e:
-        return []
-    data = _demeaned(_stacked_data(e, "demeaned"))
-    return Epoch._rows(data, e[0].fs, [x.label for x in e], e[0].channels)
+    return _stage(e, "demeaned", lambda x, fs: (_demeaned(x), fs))
 
 
 def _demeaned(x: np.ndarray) -> np.ndarray:
@@ -129,13 +118,30 @@ def _demeaned(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _stage(e: Epoch | list[Epoch], what: str, step) -> Epoch | list[Epoch]:
+    """One stage of the pipeline: ``step(x, fs) -> (y, fs')`` applied to
+    one epoch or to a list of epochs as one (k, n_channels, n_samples)
+    stack ``x``, which ``step`` may overwrite.
+
+    One epoch gives one epoch and a list a list (``[]`` for ``[]``); each
+    result row carries the label of its input epoch.
+    """
+    epochs = [e] if isinstance(e, Epoch) else e
+    if not epochs:
+        return []
+    y, fs = step(_stacked_data(epochs, what), epochs[0].fs)
+    out = Epoch._rows(y, fs, [x.label for x in epochs], epochs[0].channels)
+    return out[0] if isinstance(e, Epoch) else out
+
+
 def _stacked_data(epochs: list[Epoch], what: str) -> np.ndarray:
     """The data of nonempty ``epochs`` as one (k, n_channels, n_samples)
     stack; they must share one shape and sampling rate."""
     shape, fs = epochs[0].data.shape, epochs[0].fs
     if any(e.data.shape != shape or e.fs != fs for e in epochs):
         raise ContractError(f"{what} epochs must share one shape and sampling rate")
-    return np.stack([e.data for e in epochs])
+    # np.array copies equal-shape rows in about half np.stack's time on small stacks
+    return np.array([e.data for e in epochs])
 
 
 @lru_cache
@@ -177,17 +183,13 @@ def bandpass(e: Epoch | list[Epoch], spec: BandSpec) -> Epoch | list[Epoch]:
     of one shape and sampling rate is filtered as one stack, bit-identical
     to one epoch at a time.
     """
-    if isinstance(e, Epoch):
-        return _bandpassed([e], e.data, spec)[0]
-    if not e:
-        return []
-    data = _stacked_data(e, "band-passed")
-    return _bandpassed(e, data.reshape(-1, data.shape[-1]), spec)
+    return _stage(e, "band-passed", lambda x, fs: (_bandpassed(x, fs, spec), fs))
 
 
-def _bandpassed(epochs: list[Epoch], x: np.ndarray, spec: BandSpec) -> list[Epoch]:
-    """:func:`bandpass` of ``epochs``, whose channels are the rows of ``x``."""
-    fs = epochs[0].fs
+def _bandpassed(x: np.ndarray, fs: float, spec: BandSpec) -> np.ndarray:
+    """:func:`bandpass` of a (k, n_channels, n_samples) stack ``x`` at ``fs``,
+    whose channels are filtered as the rows of one (k * n_channels, n_samples)
+    array."""
     if spec.high_hz >= fs / 2.0:
         raise ContractError(
             f"band edge {spec.high_hz} Hz must lie below Nyquist ({fs / 2.0} Hz)"
@@ -198,6 +200,8 @@ def _bandpassed(epochs: list[Epoch], x: np.ndarray, spec: BandSpec) -> list[Epoc
     # scipy's sosfilt refuses a read-only array, so each call filters with a copy.
     sos = sos.copy()
     zi = zi.reshape(len(sos), 1, 2)
+    shape = x.shape
+    x = x.reshape(-1, shape[-1])
     n = min(3 * (spec.order + 1), x.shape[1] - 1)
     # sosfiltfilt's steps, in its order: odd extension, then a forward and a
     # backward pass that each start in the steady state of their first sample.
@@ -207,38 +211,29 @@ def _bandpassed(epochs: list[Epoch], x: np.ndarray, spec: BandSpec) -> list[Epoc
     y, _ = signal.sosfilt(sos, ext, axis=1, zi=zi * ext[:, :1])
     y, _ = signal.sosfilt(sos, y[:, ::-1], axis=1, zi=zi * y[:, -1:])
     # demeaned in time order, as one epoch of the trimmed result would be
-    y = _demeaned(np.ascontiguousarray(y[:, ::-1][:, n:-n]))
-    y = y.reshape(len(epochs), -1, y.shape[1])
-    return Epoch._rows(y, fs, [ep.label for ep in epochs], epochs[0].channels)
+    return _demeaned(np.ascontiguousarray(y[:, ::-1][:, n:-n])).reshape(shape)
 
 
-def decimate(e: Epoch, target_fs: float) -> Epoch:
+def decimate(e: Epoch | list[Epoch], target_fs: float) -> Epoch | list[Epoch]:
     """Keep every (fs / target_fs)-th sample; the ratio must be an integer.
 
     The signal is assumed already band-limited below target_fs / 2 by a
-    prior band-pass, so no anti-alias filter is applied here.
+    prior band-pass, so no anti-alias filter is applied here.  A list of
+    epochs of one shape and sampling rate is decimated as one stack.  At
+    ratio 1 (for a list, at its first epoch's rate) the input itself is
+    returned.
     """
     if not (math.isfinite(target_fs) and target_fs > 0):
         raise ContractError(f"target rate must be positive and finite, got {target_fs}")
-    ratio = e.fs / target_fs
+    if not e:
+        return []
+    fs = e.fs if isinstance(e, Epoch) else e[0].fs
+    ratio = fs / target_fs
     k = round(ratio) if math.isfinite(ratio) else 0
     if k < 1 or abs(ratio - k) > 1e-9:
         raise ContractError(
-            f"decimation ratio must be a positive integer, got {e.fs}/{target_fs}"
+            f"decimation ratio must be a positive integer, got {fs}/{target_fs}"
         )
     if k == 1:
         return e
-    return e.with_data(e.data[:, ::k], fs=target_fs)
-
-
-def ssvep_filter_bank(
-    e: Epoch,
-    freqs: list[float],
-    width_hz: float = SSVEP_BAND_WIDTH_HZ,
-    order: int = SSVEP_BAND_ORDER,
-) -> list[Epoch]:
-    """One band-passed copy per flicker frequency, centered at each freq."""
-    return [
-        bandpass(e, BandSpec(f - width_hz / 2.0, f + width_hz / 2.0, order))
-        for f in freqs
-    ]
+    return _stage(e, "decimated", lambda x, fs: (np.ascontiguousarray(x[..., ::k]), target_fs))

@@ -59,3 +59,27 @@ def test_unused_imports_are_tracer_bindings():
     }
     assert unused == TRACER_ONLY_IMPORTS
     assert all((f"riemann_bci.{module}", name) in patched for module, name in unused)
+
+
+# One operation's output digest per workload at seed 301 with a pool of one.
+WORKLOAD_DIGESTS = {
+    "ssvep_curve": "068ba575ad99aadc6c3ca8fa2abfbc69d7293464d5e7b0a4f13aee576a5c47f3",
+    "p300_session": "62ce28b017311b2f57a429929c39fc852cabf43d93fe33f2ca69b49104c1665c",
+    "erp_calibration": "8ec2b5bb19e9169b10fca6c0cd043d58b02de27c92634217ce12726286ccf8d1",
+}
+
+
+def test_benchmark_operations_keep_their_outputs(tmp_path, monkeypatch):
+    """Every call the benchmark makes into the package still works and gives
+    the same output, checked by the workload's own check."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    assert set(workloads.WORKLOADS) == set(WORKLOAD_DIGESTS)
+    for name, workload_type in workloads.WORKLOADS.items():
+        workload = workload_type(301, pool_size=1)
+        workdir = tmp_path / name
+        workdir.mkdir()
+        state = workload.setup(workdir)
+        result = workload.check(state, 0, workload.operate(state, 0))
+        assert result.digest == WORKLOAD_DIGESTS[name], name

@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -17,13 +18,14 @@ from riemann_bci.features import (
     FeatureRecipe,
     Prototype,
     build_prototypes,
+    by_class,
     featurize,
     shrink,
     ssvep_block_cov,
     super_trial_cov,
     _stacked_cov,
 )
-from riemann_bci.preprocessing import Epoch, ssvep_filter_bank
+from riemann_bci.preprocessing import BandSpec, Epoch, bandpass
 from riemann_bci.spd import SPD_EIGENVALUE_RTOL, SpdMatrix, decompose
 
 from conftest import random_spd
@@ -171,6 +173,22 @@ class TestBuildPrototypes:
         ]
         protos = build_prototypes(epochs)
         assert [p.class_id for p in protos] == [1, 5]
+
+    @pytest.mark.parametrize("class_ids", [None, [1]])
+    def test_mixed_rates_refused(self, rng, class_ids):
+        data = rng.standard_normal((2, 20))
+        epochs = [Epoch(data, fs=128.0, label=0), Epoch(data, fs=256.0, label=1)]
+        with pytest.raises(ContractError, match="share one shape and sampling rate"):
+            build_prototypes(epochs, class_ids=class_ids)
+
+
+def test_by_class_keeps_input_order_within_a_class(rng):
+    epochs = [integer_epoch(rng, 2, 20, label=z) for z in (3, None, 1, 3, 1, None, 3)]
+    groups = by_class(epochs)
+    assert list(groups) == [1, 3]
+    assert groups[1] == [epochs[2], epochs[4]]
+    assert groups[3] == [epochs[0], epochs[3], epochs[6]]
+    assert by_class([]) == {} and by_class(epochs[1:2]) == {}
 
 
 class TestErpSuperCov:
@@ -340,7 +358,7 @@ class TestSsvepBlockCov:
         fs = 512.0
         t = np.arange(1024) / fs
         e = Epoch(np.tile(np.sin(2 * np.pi * 15.0 * t), (6, 1)), fs=fs)
-        bank = ssvep_filter_bank(e, [12.0, 15.0, 20.0])
+        bank = [bandpass(e, BandSpec(f - 1.0, f + 1.0, 5)) for f in (12.0, 15.0, 20.0)]
         out = ssvep_block_cov(bank)
         traces = [
             np.trace(out.values[i * 6 : (i + 1) * 6, i * 6 : (i + 1) * 6])
@@ -569,9 +587,8 @@ def _per_epoch_shrunk(raw, target, gamma):
 def per_epoch_feature(e: Epoch, recipe: FeatureRecipe):
     """One epoch's feature, the old way, and the shrinkage level it took."""
     if recipe.modality == SSVEP:
-        bank = ssvep_filter_bank(
-            e, list(recipe.freqs), width_hz=recipe.width_hz, order=recipe.order
-        )
+        w = recipe.width_hz / 2.0
+        bank = [bandpass(e, BandSpec(f - w, f + w, recipe.order)) for f in recipe.freqs]
         n = e.n_channels
         blocks = [_per_epoch_stacked_cov([b.data]) for b in bank]
         raw = np.zeros((n * len(bank), n * len(bank)))
@@ -800,7 +817,7 @@ class TestGramBound:
         with pytest.raises(NotPositiveDefiniteError, match=message):
             featurize([Epoch(np.zeros((3, 40)), fs=128.0)], FeatureRecipe(MI, shrinkage=shrinkage))
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     @pytest.mark.parametrize("shrinkage", ["auto", 1e-2])
     def test_non_finite_rows_refused(self, bad, shrinkage):
@@ -808,3 +825,11 @@ class TestGramBound:
         rows[1, 4] = bad
         with pytest.raises(ContractError, match="matrix entries must be finite"):
             super_trial_cov([rows], shrinkage)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("shrinkage", ["auto", 1e-2, 0.0])
+    def test_non_finite_matrix_refused_without_warning(self, bad, shrinkage):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractError, match="matrix entries must be finite"):
+                shrink(np.array([[bad, 0.0], [0.0, 1.0]]), shrinkage)

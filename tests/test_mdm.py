@@ -51,7 +51,8 @@ class TestFit:
     def test_identical_epochs_give_exact_mean(self, rng):
         e0 = mi_epochs(rng, label=0)
         e1 = mi_epochs(rng, label=1)
-        model = mdm.fit([e0, e0.with_data(e0.data), e1, e1.with_data(e1.data)], MI_RECIPE)
+        copies = [Epoch(e.data, fs=e.fs, label=e.label) for e in (e0, e1)]
+        model = mdm.fit([e0, copies[0], e1, copies[1]], MI_RECIPE)
         np.testing.assert_array_equal(
             model.means[0].values, super_trial_cov([e0.data], 0.0).values
         )
@@ -72,7 +73,7 @@ class TestFit:
     def test_congruence_equivariance(self, rng):
         epochs = [mi_epochs(rng, label=z) for z in (0, 0, 0, 1, 1, 1)]
         a = random_invertible(rng, 4, cond=50.0)
-        mapped = [e.with_data(a @ e.data) for e in epochs]
+        mapped = [Epoch(a @ e.data, fs=e.fs, label=e.label) for e in epochs]
         base = mdm.fit(epochs, MI_RECIPE)
         moved = mdm.fit(mapped, MI_RECIPE)
         for m_base, m_moved in zip(base.means, moved.means):
@@ -223,7 +224,7 @@ class TestDistancesPredict:
         ]
         moved_model = model_from_means(moved_means)
         # congruence on the trial data: cov(W^T X) = W^T C W
-        moved_epoch = e.with_data(w.T @ e.data)
+        moved_epoch = Epoch(w.T @ e.data, fs=e.fs, label=e.label)
         dv_moved = mdm.distances(moved_model, moved_epoch)
         np.testing.assert_allclose(dv_moved.values, dv.values, rtol=1e-8)
 
@@ -238,8 +239,9 @@ class TestDistancesPredict:
         model = mdm.fit(epochs, MI_RECIPE)
         preds = [mdm.predict(model, e) for e in test]
         a = random_invertible(rng, 4, cond=30.0)
-        moved_model = mdm.fit([e.with_data(a @ e.data) for e in epochs], MI_RECIPE)
-        moved_preds = [mdm.predict(moved_model, e.with_data(a @ e.data)) for e in test]
+        moved = [Epoch(a @ e.data, fs=e.fs, label=e.label) for e in epochs + test]
+        moved_model = mdm.fit(moved[: len(epochs)], MI_RECIPE)
+        moved_preds = [mdm.predict(moved_model, e) for e in moved[len(epochs) :]]
         assert preds == moved_preds
 
 

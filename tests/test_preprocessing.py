@@ -6,6 +6,7 @@ from scipy import signal
 
 from riemann_bci import preprocessing
 from riemann_bci.errors import ContractError
+from riemann_bci.features import SSVEP, FeatureRecipe, featurize
 from riemann_bci.preprocessing import (
     DEFAULT_BAND_ORDER,
     MAX_BAND_ORDER,
@@ -14,7 +15,6 @@ from riemann_bci.preprocessing import (
     bandpass,
     decimate,
     demean,
-    ssvep_filter_bank,
 )
 
 
@@ -64,7 +64,8 @@ class TestEpoch:
 def one_epoch_demean(e):
     """demean as it was before stacks: a new epoch from the epoch's data
     less its per-channel mean."""
-    return e.with_data(e.data - e.data.mean(axis=1, keepdims=True))
+    return Epoch(e.data - e.data.mean(axis=1, keepdims=True), fs=e.fs, label=e.label,
+                 channels=e.channels)
 
 
 class TestEpochRows:
@@ -286,10 +287,10 @@ def count_calls(monkeypatch, name):
 
 
 def run_filter_banks(rng):
-    """Five SSVEP filter banks over three bands at mixed epoch lengths."""
+    """Five SSVEP features over three bands at mixed epoch lengths."""
+    recipe = FeatureRecipe(SSVEP, freqs=(12.0, 15.0, 20.0), shrinkage=1e-2)
     for n_samples in (128, 256, 768, 128, 768):
-        e = Epoch(rng.standard_normal((4, n_samples)), fs=128.0)
-        ssvep_filter_bank(e, [12.0, 15.0, 20.0])
+        featurize([Epoch(rng.standard_normal((4, n_samples)), fs=128.0)], recipe)
 
 
 def pre_stack_bandpass(e, spec):
@@ -305,7 +306,8 @@ def pre_stack_bandpass(e, spec):
     )
     y, _ = signal.sosfilt(sos, ext, axis=1, zi=zi * ext[:, :1])
     y, _ = signal.sosfilt(sos, y[:, ::-1], axis=1, zi=zi * y[:, -1:])
-    return one_epoch_demean(e.with_data(y[:, ::-1][:, n:-n]))
+    return one_epoch_demean(Epoch(y[:, ::-1][:, n:-n], fs=e.fs, label=e.label,
+                                  channels=e.channels))
 
 
 @given(
@@ -317,12 +319,12 @@ def pre_stack_bandpass(e, spec):
 )
 @settings(max_examples=40, deadline=None)
 def test_filter_bank_equals_pre_stack_bandpass(n, n_samples, fs, order, seed):
-    """Each band of the SSVEP filter bank equals, bit for bit, the band-pass
+    """Each band of an SSVEP filter bank equals, bit for bit, the band-pass
     that built two epochs per call."""
     rng = np.random.default_rng(seed)
     e = Epoch(rng.standard_normal((n, n_samples)) + 3.0, fs=fs, label=2)
     freqs = [12.0, 15.0, 20.0]
-    bank = ssvep_filter_bank(e, freqs, width_hz=2.0, order=order)
+    bank = [bandpass(e, BandSpec(f - 1.0, f + 1.0, order)) for f in freqs]
     for f, band in zip(freqs, bank, strict=True):
         expected = pre_stack_bandpass(e, BandSpec(f - 1.0, f + 1.0, order))
         np.testing.assert_array_equal(band.data, expected.data)
@@ -407,23 +409,88 @@ class TestDecimate:
         assert out.label == 3 and out.channels == ("a", "b")
 
 
+@given(
+    k=st.integers(1, 6),
+    n=st.integers(1, 5),
+    n_samples=st.integers(2, 200),
+    ratio=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_decimate_of_a_list_is_per_epoch_decimate(k, n, n_samples, ratio, seed):
+    """A list is decimated as one stack, bit-identical to one epoch at a time."""
+    rng = np.random.default_rng(seed)
+    names = tuple(f"c{i}" for i in range(n))
+    epochs = [
+        Epoch(rng.standard_normal((n, ratio * n_samples)), fs=100.0 * ratio, label=i % 3,
+              channels=names)
+        for i in range(k)
+    ]
+    stacked = decimate(epochs, 100.0)
+    assert len(stacked) == k
+    for out, e in zip(stacked, epochs, strict=True):
+        alone = decimate(e, 100.0)
+        assert out.data.tobytes() == alone.data.tobytes() and out.data.shape == alone.data.shape
+        assert (out.fs, out.label, out.channels) == (alone.fs, alone.label, alone.channels)
+        assert out.data.flags.c_contiguous and not out.data.flags.writeable
+
+
+class TestDecimateList:
+    def test_empty_list(self):
+        assert decimate([], 64.0) == []
+
+    @pytest.mark.parametrize("other", [((2, 40), 128.0), ((3, 50), 128.0), ((2, 50), 256.0)])
+    def test_mixed_epochs_refused(self, rng, other):
+        shape, fs = other
+        epochs = [Epoch(rng.standard_normal((2, 50)), fs=128.0),
+                  Epoch(rng.standard_normal(shape), fs=fs)]
+        with pytest.raises(ContractError, match="share one shape and sampling rate"):
+            decimate(epochs, 64.0)
+
+    def test_non_integer_ratio_refused(self, rng):
+        epochs = [Epoch(rng.standard_normal((2, 60)), fs=128.0) for _ in range(2)]
+        with pytest.raises(ContractError, match="positive integer, got 128.0/48.0"):
+            decimate(epochs, 48.0)
+
+
 class TestSsvepFilterBank:
+    """The SSVEP feature's filter bank: one band-pass per flicker frequency."""
+
     def test_bank_size(self, rng):
         e = Epoch(rng.standard_normal((6, 1024)), fs=512.0)
-        bank = ssvep_filter_bank(e, [12.0, 15.0, 20.0])
-        assert len(bank) == 3
-        assert all(b.n_channels == 6 for b in bank)
+        (feat,) = featurize([e], FeatureRecipe(SSVEP, freqs=(12.0, 15.0, 20.0)))
+        assert feat.dim == 3 * 6
 
-    def test_empty_bank(self, rng):
-        e = Epoch(rng.standard_normal((2, 128)), fs=512.0)
-        assert ssvep_filter_bank(e, []) == []
+    def test_empty_bank(self):
+        with pytest.raises(ContractError, match="flicker frequencies"):
+            FeatureRecipe(SSVEP)
+        assert featurize([], FeatureRecipe(SSVEP, freqs=(12.0,))) == []
 
     def test_matched_band_dominates(self):
         e = sine_epoch(15.0, fs=512.0, seconds=2.0, n_channels=6)
-        bank = ssvep_filter_bank(e, [12.0, 15.0, 20.0])
-        powers = [float(np.sum(b.data**2)) for b in bank]
+        recipe = FeatureRecipe(SSVEP, freqs=(12.0, 15.0, 20.0), shrinkage=1e-2)
+        (feat,) = featurize([e], recipe)
+        powers = [np.trace(feat.values[i * 6 : (i + 1) * 6, i * 6 : (i + 1) * 6])
+                  for i in range(3)]
         assert powers[1] >= 100.0 * powers[0]
         assert powers[1] >= 100.0 * powers[2]
+
+    def test_one_bandpass_per_band_on_the_whole_list(self, rng, monkeypatch):
+        calls = []
+        real = preprocessing.bandpass
+
+        def recording(epochs, spec):
+            calls.append((epochs, spec))
+            return real(epochs, spec)
+
+        monkeypatch.setattr(preprocessing, "bandpass", recording)
+        epochs = [Epoch(rng.standard_normal((4, 256)), fs=128.0) for _ in range(5)]
+        recipe = FeatureRecipe(SSVEP, freqs=(12.0, 15.0, 20.0), width_hz=3.0, order=4)
+        featurize(epochs, recipe)
+        assert [spec for _, spec in calls] == [
+            BandSpec(f - 1.5, f + 1.5, 4) for f in (12.0, 15.0, 20.0)
+        ]
+        assert all(got is epochs for got, _ in calls)
 
 
 class TestDecimationCovarianceShape:
