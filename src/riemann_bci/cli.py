@@ -43,7 +43,6 @@ from .simulator import (
     session_rows,
     write_session_csv,
 )
-from .spd import DEFAULT_MEAN_MAX_ITER
 # Unused here, but perfbench/tracer.py wraps the cli.compare_modes binding.
 from .simulator import compare_modes  # noqa: F401
 
@@ -80,7 +79,7 @@ def _fit(args, training):
         width_hz=args.width,
         order=args.order,
     )
-    return mdm_mod.fit(training, recipe, tol=args.mean_tol, max_iter=args.mean_max_iter)
+    return mdm_mod.fit(training, recipe)
 
 
 def _subject(args, **fields) -> SyntheticSpec:
@@ -128,7 +127,8 @@ def cmd_eval(args) -> int:
     labeled = [e for e in epochs if e.label is not None]
     if not labeled:
         raise ContractError("unlabeled test set: no epoch carries a label")
-    strays = sorted({e.label for e in labeled} - set(model.class_ids))
+    labels = {e.label for e in labeled}
+    strays = sorted(labels - set(model.class_ids))
     if strays:
         raise ContractError(
             f"labels {strays} are not model class ids {list(model.class_ids)}"
@@ -136,7 +136,8 @@ def cmd_eval(args) -> int:
     scored = list(zip(mdm_mod.stack_distances(model, labeled), [e.label for e in labeled]))
     accuracy = float(np.mean([dv.argmin_class() == y for dv, y in scored]))
     rows = [("n_trials", len(labeled)), ("accuracy", accuracy)]
-    if model.recipe.modality == P300 and len(model.class_ids) == 2:
+    # AUC needs a target and a non-target trial; a file of one class gets accuracy only
+    if model.recipe.modality == P300 and len(model.class_ids) == len(labels) == 2:
         # negated contrasts: higher is more target-like, as the AUC expects
         target = max(model.class_ids)
         pairs = [(-mdm_mod.target_contrast(dv), int(y == target)) for dv, y in scored]
@@ -258,8 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--freqs", type=float, nargs="+")
         p.add_argument("--width", type=float, default=SSVEP_BAND_WIDTH_HZ)
         p.add_argument("--order", type=int, default=SSVEP_BAND_ORDER)
-        p.add_argument("--mean-tol", type=float, default=None)
-        p.add_argument("--mean-max-iter", type=int, default=DEFAULT_MEAN_MAX_ITER)
 
     fit = sub.add_parser("fit", help="train an MDM model from an epoch file")
     fit.add_argument("--in", dest="input", required=True)

@@ -122,7 +122,8 @@ class FeatureRecipe:
 def _validate_shrinkage(gamma) -> None:
     if gamma == "auto":
         return
-    if not isinstance(gamma, (int, float)) or not 0.0 <= float(gamma) <= 1.0:
+    number = isinstance(gamma, (int, float)) and not isinstance(gamma, bool)
+    if not number or not 0.0 <= float(gamma) <= 1.0:
         raise ContractError(f"shrinkage must be in [0, 1] or 'auto', got {gamma!r}")
 
 

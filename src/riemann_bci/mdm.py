@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ContractError, MeanConvergenceError
 from .features import FeatureRecipe, by_class, featurize
 from .preprocessing import Epoch
-from .spd import DEFAULT_MEAN_MAX_ITER, SpdMatrix, geometric_mean, riemann_distance
+from .spd import SpdMatrix, geometric_mean, riemann_distance
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,13 +104,9 @@ class MdmModel:
         return self.means[0].dim
 
 
-def fit(
-    training: list[Epoch],
-    recipe: FeatureRecipe,
-    tol: float | None = None,
-    max_iter: int = DEFAULT_MEAN_MAX_ITER,
-) -> MdmModel:
-    """Per-class geometric means of labeled epochs; tol, max_iter go to geometric_mean.
+def fit(training: list[Epoch], recipe: FeatureRecipe) -> MdmModel:
+    """Per-class geometric means of labeled epochs, by the mean solver's own
+    stopping rule; a class whose mean does not converge is named in the error.
 
     The labeled epochs share one shape and sampling rate and are
     featurized as one stack, in class-id order.
@@ -128,7 +124,7 @@ def fit(
     means = []
     for z, start, end in zip(class_ids, edges, edges[1:]):
         try:
-            means.append(geometric_mean(feats[start:end], tol=tol, max_iter=max_iter))
+            means.append(geometric_mean(feats[start:end]))
         except MeanConvergenceError as exc:
             raise MeanConvergenceError(
                 exc.residual, exc.iterations, context=f"class {z}"

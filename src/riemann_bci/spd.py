@@ -5,9 +5,11 @@ matrix type, ``SpdMatrix``, that symmetrizes its input and caches its
 eigendecomposition; its inverse and square roots from that decomposition;
 the affine-invariant (geodesic) distance, geodesic interpolation, and the
 geometric mean by a safeguarded Riemannian Newton method whose Hessian
-comes from the eigendecompositions its gradient already makes.  The SPD
-check takes one matrix or a stack, and the distance a stack on either
-side, bit-identical to one matrix or one pair at a time.
+comes from the eigendecompositions its gradient already makes.  The mean
+owns its stopping rule: a tolerance, settable per call, and a step cap,
+the module constant ``MEAN_MAX_STEPS``.  The SPD check takes one matrix
+or a stack, and the distance a stack on either side, bit-identical to
+one matrix or one pair at a time.
 
 All public values are immutable after construction and every operation is
 a pure function, so everything here is safe to call concurrently.
@@ -34,7 +36,7 @@ SPD_EIGENVALUE_RTOL = 1e-12
 DEFAULT_MEAN_TOL_PER_DIM = 1e-8
 # Newton takes 2-3 trial steps on the class sets of the benchmark workloads
 # and at most 5 on small sets spread to condition 1e6; the cap is generous.
-DEFAULT_MEAN_MAX_ITER = 1500
+MEAN_MAX_STEPS = 1500
 
 
 class Evd(NamedTuple):
@@ -224,18 +226,14 @@ def geodesic(c1: SpdMatrix, c2: SpdMatrix, t: float) -> SpdMatrix:
     return SpdMatrix(sq @ _rebuild(u, w**t) @ sq)
 
 
-def geometric_mean(
-    mats: Sequence[SpdMatrix],
-    tol: float | None = None,
-    max_iter: int = DEFAULT_MEAN_MAX_ITER,
-) -> SpdMatrix:
+def geometric_mean(mats: Sequence[SpdMatrix], tol: float | None = None) -> SpdMatrix:
     """Geometric (Karcher) mean by a safeguarded Riemannian Newton method.
 
     Minimizes f(M) = 1/2 mean_k d^2(M, C_k) from the arithmetic mean and
     stops once the Frobenius norm of the mean log map falls below ``tol``
     (default 1e-8 * dim); raises MeanConvergenceError, with the lowest norm
-    reached, after ``max_iter`` trial steps.  The iterate is a factor L of
-    M = L L^T.  One stacked eigendecomposition of the whitened inputs
+    reached, after ``MEAN_MAX_STEPS`` trial steps.  The iterate is a factor
+    L of M = L L^T.  One stacked eigendecomposition of the whitened inputs
     A_k = L^-1 C_k L^-T = U_k diag(exp l_k) U_k^T gives, in L's frame, the
     negative gradient G = mean_k U_k diag(l_k) U_k^T and the Hessian
 
@@ -258,8 +256,6 @@ def geometric_mean(
     tol = DEFAULT_MEAN_TOL_PER_DIM * dim if tol is None else tol
     if not (np.isfinite(tol) and tol > 0.0):
         raise ContractError(f"tolerance: tol must be finite and positive, got {tol}")
-    if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
-        raise ContractError(f"mean max_iter must be an integer >= 1, got {max_iter!r}")
     if k == 1:
         return mats[0]
 
@@ -274,7 +270,7 @@ def geometric_mean(
     # push well past tol so the returned point meets the criterion with margin
     target = 0.25 * tol
     half_step = None  # eigendecomposition of X / 2 once a direction X is chosen
-    for _ in range(max_iter):
+    for _ in range(MEAN_MAX_STEPS):
         if point.residual < target:
             break
         if half_step is None:
@@ -291,7 +287,7 @@ def geometric_mean(
             t *= 0.5
     if best_residual < tol:
         return SpdMatrix(best)
-    raise MeanConvergenceError(residual=best_residual, iterations=max_iter)
+    raise MeanConvergenceError(residual=best_residual, iterations=MEAN_MAX_STEPS)
 
 
 def _accepts(point: _Evaluation, reached: _Evaluation, decrease: float) -> bool:

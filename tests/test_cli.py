@@ -93,6 +93,31 @@ class TestFit:
         assert code == 3
         assert ">= 2 classes" in capsys.readouterr().err
 
+    def test_mean_hitting_the_step_cap_is_numeric_failure(self, tmp_path, monkeypatch, capsys):
+        from riemann_bci import spd
+
+        data = tmp_path / "mi.dat"
+        assert run(["synth", "--modality", "mi", "--trials", "10", "--samples", "128",
+                    "--seed", "3", "--out", str(data)]) == 0
+        monkeypatch.setattr(spd, "MEAN_MAX_STEPS", 1)
+        code = run(["fit", "--modality", "mi", "--in", str(data),
+                    "--out", str(tmp_path / "m.json")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: geometric mean did not converge after 1 ")
+        assert err.rstrip().endswith("(class 0)")
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("command", ["fit", "crossval"])
+    @pytest.mark.parametrize(
+        "flag", [["--mean-tol", "1e-6"], ["--mean-max-iter", "10"]], ids=lambda f: f[0]
+    )
+    def test_mean_solver_flags_are_gone(self, tmp_path, command, flag):
+        """The mean solver's stopping rule is not a CLI option."""
+        out = "--out" if command == "fit" else "--report"
+        assert run([command, "--modality", "mi", "--in", str(tmp_path / "x.dat"),
+                    out, str(tmp_path / "o"), *flag]) == 2
+
 
 class TestEval:
     def _fitted_mi(self, tmp_path):
@@ -195,6 +220,27 @@ class TestEval:
         with open(report) as fh:
             metrics = [row["metric"] for row in csv.DictReader(fh)]
         assert "auc" in metrics
+
+    def test_p300_file_of_one_class_reports_accuracy_only(self, tmp_path, capsys):
+        """AUC needs both classes; accuracy does not, so a file of target
+        epochs alone still gets a report and exit 0."""
+        from riemann_bci.datasets import write_epochs
+
+        data, targets = tmp_path / "p300.dat", tmp_path / "targets.dat"
+        assert run(["synth", "--modality", "p300", "--trials", "10", "--seed", "3",
+                    "--out", str(data)]) == 0
+        model = tmp_path / "model.json"
+        assert run(["fit", "--modality", "p300", "--in", str(data),
+                    "--out", str(model)]) == 0
+        write_epochs(targets, [e for e in read_epochs(data) if e.label == 1])
+        report = tmp_path / "report.csv"
+        assert run(["eval", "--model", str(model), "--in", str(targets),
+                    "--report", str(report)]) == 0
+        with open(report) as fh:
+            rows = {row["metric"]: row["value"] for row in csv.DictReader(fh)}
+        assert list(rows) == ["n_trials", "accuracy"]
+        assert rows["n_trials"] == "10"
+        assert "auc" not in capsys.readouterr().out
 
 
 class TestCrossval:
@@ -384,18 +430,6 @@ def _future_model_version(tmp_path, model, data):
 def _report_in_missing_dir(tmp_path, model, data):
     report = tmp_path / "no_such_dir" / "r.csv"
     return _eval(tmp_path, model, data, report), str(report)
-
-
-def _zero_mean_iterations(tmp_path, model, data):
-    return _fit(tmp_path, data) + ["--mean-max-iter", "0"], "max_iter must"
-
-
-def _negative_mean_tol(tmp_path, model, data):
-    return _fit(tmp_path, data) + ["--mean-tol", "-1"], "tol must"
-
-
-def _mean_tol_infinite(tmp_path, model, data):
-    return _fit(tmp_path, data) + ["--mean-tol", "inf"], "tol must"
 
 
 def _header_value(key, value, name):
@@ -615,8 +649,7 @@ _NON_FINITE_PAYLOADS = [
      _fractional_order, _fractional_class_ids, _missing_model,
      _missing_input, _number_header, _infinite_fs_header, _non_string_channel_names,
      _object_modality, _future_epoch_version, _future_model_version,
-     _report_in_missing_dir, _zero_mean_iterations, _negative_mean_tol,
-     _mean_tol_infinite, _zero_decimation_rate, _nan_decimation_rate,
+     _report_in_missing_dir, _zero_decimation_rate, _nan_decimation_rate,
      _subnormal_decimation_rate, _band_edge_near_zero, _subnormal_band_edge,
      _model_band_edge_near_zero, _string_mean_entry,
      _string_prototype_entry, _duplicate_class_ids, _negative_crossval_seed,

@@ -807,8 +807,13 @@ class TestGramBound:
             shrink(np.diag([1.0, -0.5]), 1e-2)
 
     def test_invalid_shrinkage_refused(self, rng):
-        with pytest.raises(ContractError, match="shrinkage must be in"):
-            super_trial_cov([rng.standard_normal((3, 10))], 2.0)
+        """A boolean is not a shrinkage level: True would blend to a scaled
+        identity and save a model its own loader refuses."""
+        for shrinkage in (2.0, True, False):
+            with pytest.raises(ContractError, match="shrinkage must be in"):
+                super_trial_cov([rng.standard_normal((3, 10))], shrinkage)
+            with pytest.raises(ContractError, match="shrinkage must be in"):
+                FeatureRecipe(MI, shrinkage=shrinkage)
 
     @pytest.mark.parametrize(
         "shrinkage, message", [("auto", "auto ladder"), (1e-2, r"eigenvalues in \[0")]

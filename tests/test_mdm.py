@@ -28,7 +28,7 @@ from riemann_bci.spd import geometric_mean, riemann_distance
 from riemann_bci.mdm import DistanceVector, MdmModel
 from riemann_bci.preprocessing import Epoch, demean
 
-from conftest import random_invertible, random_spd
+from conftest import random_invertible, random_orthogonal, random_spd
 
 MI_RECIPE = FeatureRecipe(modality=MI, shrinkage=0.0)
 
@@ -243,6 +243,41 @@ class TestDistancesPredict:
         moved_model = mdm.fit(moved[: len(epochs)], MI_RECIPE)
         moved_preds = [mdm.predict(moved_model, e) for e in moved[len(epochs) :]]
         assert preds == moved_preds
+
+
+def ssvep_or_p300(modality, seed):
+    spec = SyntheticSpec(n_channels=6, n_samples=256, fs=128.0, trials_per_class=8, seed=seed)
+    return demean(generate_p300(spec)[0] if modality == P300 else generate_ssvep(spec))
+
+
+# Largest relative distance change over five random W per case at shrinkage
+# 1e-2: 3e-14 for P300 (12x12 super-trials) and 8e-12 for SSVEP (18x18 band
+# blocks); the bound leaves a margin of over 10x for other BLAS builds.
+MIXED_DISTANCE_RTOL = 1e-10
+
+
+@pytest.mark.parametrize("modality", [P300, SSVEP])
+@pytest.mark.parametrize("mixing", ["permutation", "orthogonal"])
+def test_fit_and_score_invariant_under_channel_mixing(rng, modality, mixing):
+    """Mixing every epoch's channels by one W leaves predictions unchanged
+    and distances equal up to rounding.  An orthogonal W keeps the shrinkage
+    target tr(C)/dim I fixed; the P300 prototype, the grand average of the
+    mixed targets, is mixed too, and SSVEP's per-channel band-pass commutes
+    with W."""
+    w = np.eye(6)[rng.permutation(6)] if mixing == "permutation" else random_orthogonal(rng, 6)
+    train, test = ssvep_or_p300(modality, 1), ssvep_or_p300(modality, 2)
+    freqs = {"freqs": (12.0, 15.0, 20.0)} if modality == SSVEP else {}
+
+    def mixed(epochs):
+        return [Epoch(w @ e.data, fs=e.fs, label=e.label) for e in epochs]
+
+    tables = []
+    for fit_on, score in ((train, test), (mixed(train), mixed(test))):
+        model = mdm.fit(fit_on, build_recipe(modality, training=fit_on, shrinkage=1e-2, **freqs))
+        tables.append(np.array([dv.values for dv in mdm.stack_distances(model, score)]))
+    plain, moved = tables
+    np.testing.assert_array_equal(moved.argmin(axis=1), plain.argmin(axis=1))
+    np.testing.assert_allclose(moved, plain, rtol=MIXED_DISTANCE_RTOL, atol=0.0)
 
 
 class TestEndToEndModalities:

@@ -1,13 +1,18 @@
+import argparse
 import ast
 from pathlib import Path
 
 import riemann_bci
+from riemann_bci.cli import build_parser
 
 # Defaulted dataclass fields plus defaulted parameters in the package: a new
 # option has to raise this bound in the same change that adds it.
-MAX_SETTABLE_VALUES = 50
+MAX_SETTABLE_VALUES = 47
 # Names exported by the top-level package: a new one has to raise this bound.
 MAX_PUBLIC_NAMES = 15
+# Option strings over every CLI subcommand, -h/--help aside: a new flag has
+# to raise this bound.
+MAX_CLI_OPTIONS = 50
 
 
 def test_public_names_sorted_unique_and_resolvable():
@@ -44,3 +49,16 @@ def test_settable_values_do_not_grow():
     assert count <= MAX_SETTABLE_VALUES, (
         f"{count} settable values, more than {MAX_SETTABLE_VALUES}"
     )
+
+
+def test_cli_options_do_not_grow():
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = [
+        f"{name} {option}"
+        for name, sub in commands.choices.items()
+        for action in sub._actions
+        for option in action.option_strings
+        if option not in ("-h", "--help")
+    ]
+    assert len(options) <= MAX_CLI_OPTIONS, options
