@@ -34,14 +34,7 @@ from .preprocessing import (
     SSVEP_BAND_WIDTH_HZ,
     _stacked_data,
 )
-from .spd import (
-    SPD_EIGENVALUE_RTOL,
-    Evd,
-    SpdMatrix,
-    decompose,
-    not_positive_definite,
-    symmetrized,
-)
+from .spd import SpdMatrix, checked_rows
 
 MI = "mi"
 ERP_MULTI = "erp_multi"
@@ -58,9 +51,6 @@ AUTO_SHRINKAGE_LADDER = (1e-8, 1e-6, 1e-4, 1e-2, 1e-1)
 # classification.  The geometric mean of such a set costs about the same
 # at either level: four stacked evaluations of its 50 matrices.
 DEFAULT_ERP_SHRINKAGE = 1e-2
-
-# The smallest ridge g * trace(C) / dim that keeps full precision.
-_FULL_PRECISION_RIDGE = np.finfo(float).tiny / np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,47 +128,51 @@ def shrink(c: SpdMatrix | np.ndarray, gamma: float | str) -> SpdMatrix | list[Sp
     values = c.values if isinstance(c, SpdMatrix) else np.asarray(c, float)
     if values.ndim not in (2, 3) or values.shape[-1] != values.shape[-2]:
         raise ContractError(f"expected square matrices, got shape {values.shape}")
-    stack = values.reshape((-1,) + values.shape[-2:])
-    out = _shrunk(stack, stack.trace(axis1=1, axis2=2)[:, None] / stack.shape[-1], gamma)
-    return out if values.ndim == 3 else out[0]
+    return _shrunk(values, 1, gamma, False)
 
 
-def _shrunk(raw: np.ndarray, target: np.ndarray, gamma: float | str) -> list[SpdMatrix]:
-    """``SpdMatrix`` of each blend (1 - g) C + g * target * I of the stack
-    ``raw``, ``target`` (k, 1) or (k, dim), at g = gamma, or for ``'auto'``
-    at the smallest ladder level g whose blend passes the SPD check; only
-    the matrices that fail a level try the next."""
-    if gamma != "auto":
-        _validate_shrinkage(gamma)
-    out, rows = [None] * len(raw), list(range(len(raw)))
+def _shrunk(
+    raw: np.ndarray, bands: int, gamma: float | str, gram: bool
+) -> SpdMatrix | list[SpdMatrix]:
+    """``SpdMatrix`` of the blend (1 - g) C + g T of ``raw``, one matrix C or
+    a (k, dim, dim) stack (a list of k), at g = gamma, or for ``'auto'`` at
+    the smallest ladder level g whose blend passes the SPD check; only the
+    matrices that fail a level try the next.  T is diagonal: each of C's
+    ``bands`` equal diagonal blocks blends toward its own trace / size.
+
+    A ``gram`` C is positive semidefinite, so a blend's eigenvalues lie in
+    [g min T, trace C] (Ledoit & Wolf's blend form, J. Multivariate Anal.
+    88(2), 2004), the bounds :func:`spd.checked_rows` takes in place of
+    eigenvalues (a floor g / dim for one band); its margin covers the Gram
+    product's rounding, T eps trace C, up to about 1e4 dim samples T.
+    """
+    _validate_shrinkage(gamma)
+    stack = raw[None] if raw.ndim == 2 else raw
+    k, dim = stack.shape[:2]
+    if dim < 1:
+        raise ContractError("matrix dimension must be >= 1")
+    if not np.isfinite(stack).all():  # refused before any arithmetic can warn
+        raise ContractError("matrix entries must be finite")
+    n = dim // bands
+    traces = stack.diagonal(axis1=1, axis2=2).reshape(k, bands, n).sum(axis=2)
+    target, trace = np.repeat(traces / n, n, axis=1), traces.sum(axis=1)
+    out, rows = [None] * k, np.arange(k)
     for g in AUTO_SHRINKAGE_LADDER if gamma == "auto" else (float(gamma),):
-        values, (vectors, w), ok = decompose(_blend(raw, target, g))
-        passed = ok.tolist()
-        for i, row in enumerate(rows):
-            if passed[i]:
-                out[row] = SpdMatrix._checked(values[i], Evd(vectors[i], w[i]))
-        failed = [i for i, p in enumerate(passed) if not p]
+        blend = stack if g == 0.0 else (1.0 - g) * stack + g * target[:, None, :] * np.eye(dim)
+        low = g * target.min(axis=1) if gram else np.zeros(len(stack))
+        checked, error = checked_rows(blend, low, trace)
+        for row, m in zip(rows.tolist(), checked):
+            out[row] = m
+        failed = [i for i, m in enumerate(checked) if m is None]
         if not failed:
-            return out
-        error = not_positive_definite(w[failed[0]])
-        rows, raw, target = [rows[i] for i in failed], raw[failed], target[failed]
+            return out if raw.ndim == 3 else out[0]
+        rows, stack, target, trace = rows[failed], stack[failed], target[failed], trace[failed]
     if gamma != "auto":
         raise error
     raise NotPositiveDefiniteError(
         "no shrinkage level in the auto ladder produced a positive-definite "
         "matrix (is the input identically zero?)"
     ) from error
-
-
-def _blend(raw: np.ndarray, target: np.ndarray, g: float) -> np.ndarray:
-    """(1 - g) C + g * target * I of each C in the stack ``raw``, ``target``
-    (k, 1) or (k, dim); C itself at g = 0.  A non-finite entry is refused
-    here, before the blend's arithmetic can warn about it."""
-    if not np.isfinite(raw).all():
-        raise ContractError("matrix entries must be finite")
-    if g == 0.0:
-        return raw
-    return (1.0 - g) * raw + g * target[:, None, :] * np.eye(raw.shape[-1])
 
 
 def _stacked_cov(rows: list[np.ndarray]) -> np.ndarray:
@@ -207,39 +201,15 @@ def super_trial_cov(
     Every row group is a zero-mean (channels, T) array over the same T
     samples, stacked top to bottom; a single group gives the plain spatial
     sample covariance.  Groups stacked as (k, channels, T) give a list of k.
-    Where the shrinkage bound below decides the SPD check, the blend is
-    returned undecomposed; elsewhere it goes through :func:`shrink`.
+    The SPD check of each is decided as :func:`_shrunk` decides a Gram
+    blend's.
     """
     counts = [r.shape[-1] for r in rows]
     if len(set(counts)) > 1:
         raise ContractError(f"super-trial rows must share one sample count, got {counts}")
     if counts[0] < 2:
         raise ContractError("sample covariance needs at least 2 samples")
-    _validate_shrinkage(shrinkage)
-    c = _stacked_cov(rows)
-    stack = c.reshape((-1,) + c.shape[-2:])
-    dim = stack.shape[-1]
-    g = AUTO_SHRINKAGE_LADDER[0] if shrinkage == "auto" else float(shrinkage)
-    target = stack.trace(axis1=1, axis2=2)[:, None] / dim
-    # The SPD check of a Gram blend, decided without eigenvalues.  The
-    # eigenvalues of B = (1 - g) C + g tau I, tau = trace(C) / dim (Ledoit &
-    # Wolf's shrinkage form, J. Multivariate Anal. 88(2), 2004), are
-    # (1 - g) lambda_i(C) + g tau, and the Gram matrix C has 0 <= lambda_i(C)
-    # <= trace(C), so they lie in [g tau, dim tau]: lambda_min / lambda_max
-    # >= g / dim.  The check asks for a ratio above dim * SPD_EIGENVALUE_RTOL,
-    # which g >= 4 dim^2 SPD_EIGENVALUE_RTOL meets four times over.  The
-    # factor 4 is the margin for rounding, which by Weyl's inequality moves
-    # each eigenvalue by at most the norm of the error: the spare
-    # 3 dim^2 SPD_EIGENVALUE_RTOL tau is about 1e4 times eigh's backward
-    # error (dim eps lambda_max <= dim^2 eps tau) and exceeds the Gram
-    # product's worst case (T eps trace C) up to about 1e4 dim samples.
-    # Below g tau = tiny / eps the ridge loses precision, so a stack with
-    # such a row (or a NaN trace) takes the decomposition, as do g = 0 and
-    # 'auto' from dim 51 on.  An infinite trace fails the finite check.
-    if g >= 4 * dim**2 * SPD_EIGENVALUE_RTOL and np.all(g * target >= _FULL_PRECISION_RIDGE):
-        out = [SpdMatrix._checked(v, None) for v in symmetrized(_blend(stack, target, g))]
-        return out if c.ndim == 3 else out[0]
-    return shrink(c, shrinkage)
+    return _shrunk(_stacked_cov(rows), 1, shrinkage, True)
 
 
 def by_class(epochs: list[Epoch]) -> dict[int, list[Epoch]]:
@@ -291,11 +261,10 @@ def _block_cov(bands: list[np.ndarray], shrinkage: float | str) -> list[SpdMatri
     raw = np.zeros((k, n * len(bands), n * len(bands)))
     for i, b in enumerate(bands):
         raw[:, i * n : (i + 1) * n, i * n : (i + 1) * n] = _stacked_cov([b])
-    traces = raw.diagonal(axis1=1, axis2=2).reshape(k, len(bands), n).sum(axis=2)
     # 'auto' takes one ladder level for all bands: the smallest gamma that
     # makes the assembled matrix positive definite, so weak bands get a
     # floor commensurate with the global eigenvalue check.
-    return _shrunk(raw, np.repeat(traces / n, n, axis=1), shrinkage)
+    return _shrunk(raw, len(bands), shrinkage, True)
 
 
 def build_recipe(

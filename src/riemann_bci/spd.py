@@ -7,9 +7,9 @@ the affine-invariant (geodesic) distance, geodesic interpolation, and the
 geometric mean by a safeguarded Riemannian Newton method whose Hessian
 comes from the eigendecompositions its gradient already makes.  The mean
 owns its stopping rule: a tolerance, settable per call, and a step cap,
-the module constant ``MEAN_MAX_STEPS``.  The SPD check takes one matrix
-or a stack, and the distance a stack on either side, bit-identical to
-one matrix or one pair at a time.
+the module constant ``MEAN_MAX_STEPS``.  The SPD check, for one matrix or
+a stack, lives here alone, and the distance takes a stack on either side,
+bit-identical to one matrix or one pair at a time.
 
 All public values are immutable after construction and every operation is
 a pure function, so everything here is safe to call concurrently.
@@ -32,6 +32,7 @@ from .errors import (
 # Relative floor for the positive-definiteness check: lambda_min must exceed
 # dim * lambda_max * SPD_EIGENVALUE_RTOL, so the check is scale invariant.
 SPD_EIGENVALUE_RTOL = 1e-12
+_FULL_PRECISION_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
 
 DEFAULT_MEAN_TOL_PER_DIM = 1e-8
 # Newton takes 2-3 trial steps on the class sets of the benchmark workloads
@@ -81,6 +82,35 @@ def decompose(a: np.ndarray) -> tuple[np.ndarray, Evd, np.ndarray]:
     return sym, Evd(u, w), w[..., -1] > sym.shape[-1] * w[..., 0] * SPD_EIGENVALUE_RTOL
 
 
+def checked_rows(
+    a: np.ndarray, low: np.ndarray, high: np.ndarray
+) -> tuple[list[SpdMatrix | None], NotPositiveDefiniteError | None]:
+    """The SPD check of each matrix of the stack ``a``: the ``SpdMatrix`` of
+    each that passes, None for each that fails, and the error of the first
+    that fails (None if none does).
+
+    ``low`` <= lambda_min and lambda_max <= ``high`` are per-matrix bounds
+    that the caller proves (low = 0 proves nothing).  A matrix with
+    low >= 4 dim SPD_EIGENVALUE_RTOL high, compared without dividing, and
+    low >= tiny / eps, where it keeps full precision, passes the check four
+    times over and is decomposed on first use of ``eig``; the others in one
+    stacked call.  The margin covers the caller's rounding, which moves each
+    eigenvalue by at most the error's norm (Weyl), and is about 1e4 times
+    eigh's backward error, dim eps lambda_max.
+    """
+    rtol = 4 * a.shape[-1] * SPD_EIGENVALUE_RTOL
+    proven = (low >= _FULL_PRECISION_FLOOR) & (low >= rtol * high)
+    lazy = iter(symmetrized(a[proven]))
+    out = [SpdMatrix._checked(next(lazy), None) if p else None for p in proven.tolist()]
+    if proven.all():
+        return out, None
+    rest = np.flatnonzero(~proven)
+    values, (u, w), ok = decompose(a[rest])
+    for j in np.flatnonzero(ok):
+        out[rest[j]] = SpdMatrix._checked(values[j], Evd(u[j], w[j]))
+    return out, None if ok.all() else not_positive_definite(w[np.argmin(ok)])
+
+
 def not_positive_definite(w: np.ndarray) -> NotPositiveDefiniteError:
     """The error for a matrix whose descending eigenvalues ``w`` fail the check."""
     message = "matrix is not positive definite: eigenvalues in"
@@ -92,7 +122,7 @@ class SpdMatrix:
 
     The input is symmetrized on construction and decomposed at once, since
     the positive-definiteness check needs the eigenvalues.  A matrix known
-    to pass the check without them (see ``features.super_trial_cov``) is
+    to pass the check without them (see :func:`checked_rows`) is
     decomposed on first use of ``eig``.  That cache, like the roots' caches,
     is idempotent: threads racing to fill it compute the same arrays, so
     instances stay safely shareable across threads.
@@ -113,9 +143,9 @@ class SpdMatrix:
 
     @classmethod
     def _checked(cls, values: np.ndarray, eig: Evd | None) -> "SpdMatrix":
-        """One read-only symmetric matrix known to pass the check: a matrix of
-        a stacked :func:`decompose` with its ``eig``, or one whose check was
-        decided without eigenvalues (``eig=None``, decomposed on first use)."""
+        """One read-only symmetric matrix known to pass the check, with its
+        ``eig``, or ``eig=None`` where :func:`checked_rows` decided the
+        check without eigenvalues (decomposed on first use)."""
         m = cls.__new__(cls)
         m.values, m._eig, m._sqrt, m._inv_sqrt = values, eig, None, None
         return m

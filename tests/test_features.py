@@ -23,6 +23,7 @@ from riemann_bci.features import (
     shrink,
     ssvep_block_cov,
     super_trial_cov,
+    _block_cov,
     _stacked_cov,
 )
 from riemann_bci.preprocessing import BandSpec, Epoch, bandpass
@@ -652,9 +653,12 @@ class TestStackedFeaturize:
             featurize(epochs, recipe), [per_epoch_feature(e, recipe) for e in epochs]
         )
 
-    def test_ssvep_rows_climb_the_ladder_alone(self, rng):
+    def test_ssvep_rows_climb_the_ladder_alone(self, rng, monkeypatch):
         """Rank-2 epochs; every other one carries a 15 Hz component 1e4 times
-        the noise, so its band powers differ enough that 1e-8 fails."""
+        the noise, so its band powers differ enough that 1e-8 fails.  Only
+        the rows the floor g min T / trace C cannot settle are decomposed,
+        one stacked call per level: the even rows pass at 1e-8 and the odd
+        ones fail 1e-8 and 1e-6, and pass at 1e-4, all on the floor."""
         t = np.arange(256) / 128.0
         epochs = []
         for i in range(8):
@@ -666,8 +670,11 @@ class TestStackedFeaturize:
         oracle = [per_epoch_feature(e, recipe) for e in epochs]
         levels = [g for _, g in oracle]
         assert levels[::2] == [AUTO_SHRINKAGE_LADDER[0]] * 4
-        assert min(levels[1::2]) > AUTO_SHRINKAGE_LADDER[0]
-        assert_same_bits(featurize(epochs, recipe), oracle)
+        assert levels[1::2] == [AUTO_SHRINKAGE_LADDER[2]] * 4
+        calls = count_eigh(monkeypatch)
+        feats = featurize(epochs, recipe)
+        assert calls == [(4, 18, 18)] * 2 and all(f._eig is None for f in feats)
+        assert_same_bits(feats, oracle)
 
     def test_empty_stack(self):
         assert featurize([], FeatureRecipe(MI)) == []
@@ -728,36 +735,53 @@ def count_eigh(monkeypatch):
     return calls
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
     dim=st.integers(1, 50),
+    bands=st.integers(1, 5),
     k=st.integers(1, 3),
     extra_samples=st.integers(0, 150),
     exponent=st.integers(-140, 140),
+    spread=st.integers(0, 6),
     zeroed=st.integers(0, 49),
     duplicated=st.integers(0, 49),
     weight=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_gram_bound_implies_the_spd_check(
-    dim, k, extra_samples, exponent, zeroed, duplicated, weight, seed
+    dim, bands, k, extra_samples, exponent, spread, zeroed, duplicated, weight, seed
 ):
-    """Every Gram blend the shrinkage bound returns undecomposed passes the
+    """Every Gram blend the shrinkage floor returns undecomposed passes the
     eigenvalue check of ``spd.decompose``: dim 1-50, T from 2 to 3 dim + 2,
-    scales 10^+-140, zeroed and duplicated channels, g from the bound to 1."""
+    zeroed and duplicated channels, g from the scalar target's bound to 1
+    and 'auto'.  One band is a super-trial at scales 10^+-140; 2-5 bands
+    are SSVEP block-diagonal blends toward per-band targets at scales
+    10^+-100, each band's power spread over up to 10^+-12."""
     rng = np.random.default_rng(seed)
-    t = 2 + extra_samples % (3 * dim + 1)
-    x = rng.standard_normal((k, dim, t)) * 10.0**exponent
-    x[:, : min(zeroed, dim - 1)] = 0.0
-    x[:, dim - min(duplicated, dim - 1) :] = x[:, -1:]
+    n = -(-dim // bands)  # channels per band
+    t = 2 + extra_samples % (3 * n * bands + 1)
+    if bands > 1:
+        exponent = exponent * 5 // 7
+    scales = 10.0 ** (exponent + rng.integers(-spread, spread + 1, size=bands))
+    x = rng.standard_normal((bands, k, n, t)) * scales[:, None, None, None]
+    x[:, :, : min(zeroed, n - 1)] = 0.0
+    x[:, :, n - min(duplicated, n - 1) :] = x[:, :, -1:]
     x -= x.mean(axis=-1, keepdims=True)
-    bound = 4 * dim**2 * SPD_EIGENVALUE_RTOL
+    bound = 4 * (n * bands) ** 2 * SPD_EIGENVALUE_RTOL
     g = bound ** (1.0 - weight)  # log-uniform over [bound, 1]
     for shrinkage in (g, "auto"):
-        feats = super_trial_cov([x], shrinkage)
+        try:
+            if bands == 1:
+                feats = super_trial_cov([x[0]], shrinkage)
+            else:
+                feats = _block_cov(list(x), shrinkage)
+        except NotPositiveDefiniteError:
+            assert bands > 1  # a weak band's own target can stay below the check
+            continue
         assert len(feats) == k
-        if all(f._eig is None for f in feats):
-            assert decompose(np.stack([f.values for f in feats]))[2].all()
+        lazy = [f.values for f in feats if f._eig is None]
+        if lazy:
+            assert decompose(np.stack(lazy))[2].all()
 
 
 class TestGramBound:
@@ -775,19 +799,29 @@ class TestGramBound:
             assert f.eig.vectors.tobytes() == vectors[i].tobytes()
             assert f.eig is f.eig  # decomposed once, then cached
 
+    @staticmethod
+    def assert_decomposes_nothing(recipe, epochs, monkeypatch, dim):
+        """No eigendecomposition until a feature's ``eig`` is read, then one
+        of that feature alone."""
+        calls = count_eigh(monkeypatch)
+        feats = featurize(epochs, recipe)
+        assert calls == [] and all(f._eig is None for f in feats)
+        feats[0].eig
+        assert calls == [(dim, dim)]
+
     @pytest.mark.parametrize("shrinkage", ["auto", 1e-2])
     def test_p300_featurize_decomposes_nothing(self, rng, monkeypatch, shrinkage):
         recipe = stack_recipes(rng, 8, 64)[P300](shrinkage)
-        epochs = float_epochs(rng, 12, 8, 64)
-        calls = count_eigh(monkeypatch)
-        feats = featurize(epochs, recipe)
-        assert calls == []
-        feats[0].eig
-        assert calls == [(16, 16)]
+        self.assert_decomposes_nothing(recipe, float_epochs(rng, 12, 8, 64), monkeypatch, 16)
 
-    @pytest.mark.parametrize(
-        "modality, shrinkage", [(MI, 0.0), (SSVEP, "auto"), (SSVEP, 1e-2)]
-    )
+    @pytest.mark.parametrize("shrinkage", ["auto", 1e-2])
+    def test_ssvep_featurize_decomposes_nothing(self, rng, monkeypatch, shrinkage):
+        """Band powers of white noise are alike, so the per-band floor
+        g min T / trace C settles every row, at 1e-8 under 'auto'."""
+        recipe = stack_recipes(rng, 6, 256)[SSVEP](shrinkage)
+        self.assert_decomposes_nothing(recipe, float_epochs(rng, 5, 6, 256), monkeypatch, 18)
+
+    @pytest.mark.parametrize("modality, shrinkage", [(MI, 0.0)])
     def test_one_stacked_decomposition_per_ladder_level(
         self, rng, monkeypatch, modality, shrinkage
     ):
@@ -796,6 +830,14 @@ class TestGramBound:
         calls = count_eigh(monkeypatch)
         featurize(epochs, recipe)
         assert len(calls) == 1 and calls[0][0] == 5
+
+    @pytest.mark.parametrize("shrinkage", ["auto", 1e-2])
+    def test_zero_dimension_refused(self, shrinkage):
+        """As ``SpdMatrix`` refuses it, not by numpy's reshape error."""
+        with pytest.raises(ContractError, match="matrix dimension must be >= 1"):
+            shrink(np.zeros((0, 0)), shrinkage)
+        with pytest.raises(ContractError, match="matrix dimension must be >= 1"):
+            super_trial_cov([np.ones((0, 10))], shrinkage)
 
     def test_auto_above_dim_50_decomposes(self, rng, monkeypatch):
         calls = count_eigh(monkeypatch)

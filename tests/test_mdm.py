@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from riemann_bci import mdm
 from riemann_bci.datasets import (
@@ -17,9 +18,11 @@ from riemann_bci.errors import ContractError
 from riemann_bci.features import (
     ERP_MULTI,
     MI,
+    MU_P300,
     P300,
     SSVEP,
     FeatureRecipe,
+    build_prototypes,
     build_recipe,
     featurize,
     super_trial_cov,
@@ -245,39 +248,83 @@ class TestDistancesPredict:
         assert preds == moved_preds
 
 
-def ssvep_or_p300(modality, seed):
+def mixing_epochs(modality, seed):
+    """Six channels per subject; MU_P300 stacks two P300 subjects."""
+    if modality == MU_P300:
+        subjects = [mixing_epochs(P300, 10 * seed + s) for s in range(2)]
+        return [
+            Epoch(np.vstack([a.data, b.data]), fs=a.fs, label=a.label)
+            for a, b in zip(*subjects)
+        ]
     spec = SyntheticSpec(n_channels=6, n_samples=256, fs=128.0, trials_per_class=8, seed=seed)
-    return demean(generate_p300(spec)[0] if modality == P300 else generate_ssvep(spec))
+    return demean(generate_ssvep(spec) if modality == SSVEP else generate_p300(spec)[0])
+
+
+def mixing_recipe(modality, training, shrinkage):
+    if modality == MU_P300:
+        # the shared prototype is the first subject's target average
+        first = [Epoch(e.data[:6], fs=e.fs, label=e.label) for e in training]
+        prototypes = tuple(build_prototypes(first, class_ids=[1]))
+        return FeatureRecipe(MU_P300, prototypes=prototypes, shrinkage=shrinkage, n_subjects=2)
+    freqs = {"freqs": (12.0, 15.0, 20.0)} if modality == SSVEP else {}
+    return build_recipe(modality, training=training, shrinkage=shrinkage, **freqs)
 
 
 # Largest relative distance change over five random W per case at shrinkage
-# 1e-2: 3e-14 for P300 (12x12 super-trials) and 8e-12 for SSVEP (18x18 band
-# blocks); the bound leaves a margin of over 10x for other BLAS builds.
+# 1e-2: up to 5e-14 for P300, ERP_MULTI and MU_P300 (12x12 and 18x18
+# super-trials) and 8e-12 for SSVEP (18x18 band blocks); the bound leaves a
+# margin of over 10x for other BLAS builds.
 MIXED_DISTANCE_RTOL = 1e-10
+# At 'auto' a feature takes the smallest passing ladder level, mostly 1e-8,
+# so its condition number reaches about dim / 1e-8 and the rounding of the
+# mixed data (relative eps) moves its small eigenvalues' logs by up to
+# eps x cond: measured up to 8e-11 for the super-trials and 2.5e-8 for SSVEP.
+# A row near a ladder level could also pick another level on one side, and
+# then no rounding bound holds; these inputs have none, so the bound is the
+# SSVEP figure with a margin of 40x.
+AUTO_MIXED_DISTANCE_RTOL = 1e-6
 
 
-@pytest.mark.parametrize("modality", [P300, SSVEP])
+@pytest.mark.parametrize(
+    "modality, shrinkage",
+    [
+        pytest.param(P300, 1e-2, id="p300"),
+        pytest.param(SSVEP, 1e-2, id="ssvep"),
+        pytest.param(ERP_MULTI, 1e-2, id="erp_multi"),
+        pytest.param(MU_P300, 1e-2, id="mu_p300"),
+        pytest.param(P300, "auto", id="p300-auto"),
+        pytest.param(SSVEP, "auto", id="ssvep-auto"),
+        pytest.param(ERP_MULTI, "auto", id="erp_multi-auto"),
+        pytest.param(MU_P300, "auto", id="mu_p300-auto"),
+    ],
+)
 @pytest.mark.parametrize("mixing", ["permutation", "orthogonal"])
-def test_fit_and_score_invariant_under_channel_mixing(rng, modality, mixing):
+def test_fit_and_score_invariant_under_channel_mixing(rng, modality, shrinkage, mixing):
     """Mixing every epoch's channels by one W leaves predictions unchanged
     and distances equal up to rounding.  An orthogonal W keeps the shrinkage
-    target tr(C)/dim I fixed; the P300 prototype, the grand average of the
-    mixed targets, is mixed too, and SSVEP's per-channel band-pass commutes
-    with W."""
-    w = np.eye(6)[rng.permutation(6)] if mixing == "permutation" else random_orthogonal(rng, 6)
-    train, test = ssvep_or_p300(modality, 1), ssvep_or_p300(modality, 2)
-    freqs = {"freqs": (12.0, 15.0, 20.0)} if modality == SSVEP else {}
+    target tr(C)/dim I fixed, and SSVEP's per-band targets too; every
+    prototype, a grand average of mixed trials, is mixed too, and SSVEP's
+    per-channel band-pass commutes with W.  MU_P300's W has one block per
+    subject, so its super-trial is mixed by the orthogonal blockdiag(W1, W1, W2)."""
+    subjects = 2 if modality == MU_P300 else 1
+    blocks = [
+        np.eye(6)[rng.permutation(6)] if mixing == "permutation" else random_orthogonal(rng, 6)
+        for _ in range(subjects)
+    ]
+    w = block_diag(*blocks)
+    train, test = mixing_epochs(modality, 1), mixing_epochs(modality, 2)
 
     def mixed(epochs):
         return [Epoch(w @ e.data, fs=e.fs, label=e.label) for e in epochs]
 
     tables = []
     for fit_on, score in ((train, test), (mixed(train), mixed(test))):
-        model = mdm.fit(fit_on, build_recipe(modality, training=fit_on, shrinkage=1e-2, **freqs))
+        model = mdm.fit(fit_on, mixing_recipe(modality, fit_on, shrinkage))
         tables.append(np.array([dv.values for dv in mdm.stack_distances(model, score)]))
     plain, moved = tables
+    rtol = AUTO_MIXED_DISTANCE_RTOL if shrinkage == "auto" else MIXED_DISTANCE_RTOL
     np.testing.assert_array_equal(moved.argmin(axis=1), plain.argmin(axis=1))
-    np.testing.assert_allclose(moved, plain, rtol=MIXED_DISTANCE_RTOL, atol=0.0)
+    np.testing.assert_allclose(moved, plain, rtol=rtol, atol=0.0)
 
 
 class TestEndToEndModalities:

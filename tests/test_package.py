@@ -62,3 +62,28 @@ def test_cli_options_do_not_grow():
         if option not in ("-h", "--help")
     ]
     assert len(options) <= MAX_CLI_OPTIONS, options
+
+
+# The SPD check's internals, which ``features`` does not import: it takes its
+# check from ``spd.checked_rows``, and only ``spd`` builds checked rows.
+SPD_CHECK_INTERNALS = {
+    "SPD_EIGENVALUE_RTOL",
+    "decompose",
+    "Evd",
+    "not_positive_definite",
+    "symmetrized",
+}
+
+
+def test_spd_check_has_one_home():
+    package = Path(riemann_bci.__file__).parent
+    tree = ast.parse((package / "features.py").read_text())
+    imported = {
+        a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names
+    }
+    assert not imported & SPD_CHECK_INTERNALS, imported & SPD_CHECK_INTERNALS
+    for path in package.glob("*.py"):
+        if path.name != "spd.py":
+            nodes = ast.walk(ast.parse(path.read_text()))
+            checked = [n for n in nodes if isinstance(n, ast.Attribute) and n.attr == "_checked"]
+            assert not checked, f"{path.name} builds checked SpdMatrix rows itself"
