@@ -21,11 +21,11 @@ SNR_GRID = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2)
 def auc_for(snr: float, seed: int) -> float:
     train_spec = SyntheticSpec(trials_per_class=50, seed=seed, snr=snr)
     test_spec = SyntheticSpec(trials_per_class=50, seed=seed + 7000, snr=snr)
-    train = [demean(e) for e in generate_p300(train_spec)[0]]
-    test = [demean(e) for e in generate_p300(test_spec)[0]]
+    train = demean(generate_p300(train_spec)[0])
+    test = demean(generate_p300(test_spec)[0])
     recipe = build_recipe(P300, training=train, shrinkage=DEFAULT_ERP_SHRINKAGE)
     model = mdm.fit(train, recipe)
-    scored = zip(mdm.stack_distances(model, test), test)
+    scored = zip(mdm.distances(model, test), test)
     return mdm.auc([(-mdm.target_contrast(dv), e.label) for dv, e in scored])
 
 
@@ -33,6 +33,8 @@ def main() -> None:
     parser = argparse.ArgumentParser()
     parser.add_argument("--seeds", type=int, default=20)
     args = parser.parse_args()
+    if args.seeds < 1:
+        parser.error(f"--seeds must be >= 1, got {args.seeds}")
 
     print(f"{'snr':>6}  {'mean AUC':>9}  {'min':>6}  {'max':>6}")
     for snr in SNR_GRID:

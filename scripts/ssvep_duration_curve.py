@@ -33,7 +33,7 @@ def curve(snr: float, seed: int) -> np.ndarray:
     for seconds in DURATIONS:
         model = mdm.fit([crop(e, seconds) for e in train], recipe)
         cropped = [crop(e, seconds) for e in test]
-        scored = zip(mdm.stack_distances(model, cropped), cropped)
+        scored = zip(mdm.distances(model, cropped), cropped)
         accs.append(np.mean([dv.argmin_class() == e.label for dv, e in scored]))
     return np.array(accs)
 
@@ -43,6 +43,8 @@ def main() -> None:
     parser.add_argument("--snr", type=float, default=0.15)
     parser.add_argument("--seeds", type=int, default=50)
     args = parser.parse_args()
+    if args.seeds < 1:
+        parser.error(f"--seeds must be >= 1, got {args.seeds}")
 
     curves = np.array([curve(args.snr, seed) for seed in range(args.seeds)])
     mean_curve = curves.mean(axis=0)

@@ -133,7 +133,7 @@ def cmd_eval(args) -> int:
         raise ContractError(
             f"labels {strays} are not model class ids {list(model.class_ids)}"
         )
-    scored = list(zip(mdm_mod.stack_distances(model, labeled), [e.label for e in labeled]))
+    scored = list(zip(mdm_mod.distances(model, labeled), [e.label for e in labeled]))
     accuracy = float(np.mean([dv.argmin_class() == y for dv, y in scored]))
     rows = [("n_trials", len(labeled)), ("accuracy", accuracy)]
     # AUC needs a target and a non-target trial; a file of one class gets accuracy only
@@ -176,7 +176,7 @@ def cmd_crossval(args) -> int:
         train = [e for i, e in enumerate(labeled) if i not in test_idx]
         test = [labeled[i] for i in sorted(test_idx)]
         model = _fit(args, train)
-        scored = zip(mdm_mod.stack_distances(model, test), test)
+        scored = zip(mdm_mod.distances(model, test), test)
         accuracy = float(np.mean([dv.argmin_class() == e.label for dv, e in scored]))
         accuracies.append(accuracy)
         rows.append((fold_id, len(test), accuracy))

@@ -267,40 +267,30 @@ def _block_cov(bands: list[np.ndarray], shrinkage: float | str) -> list[SpdMatri
     return _shrunk(raw, len(bands), shrinkage, True)
 
 
-def build_recipe(
-    modality: str,
-    training: list[Epoch] | None = None,
-    shrinkage: float | str = "auto",
-    freqs: tuple[float, ...] = (),
-    width_hz: float = SSVEP_BAND_WIDTH_HZ,
-    order: int = SSVEP_BAND_ORDER,
-) -> FeatureRecipe:
-    """Assemble a recipe, deriving prototypes from labeled epochs as needed.
+def build_recipe(modality: str, training: list[Epoch] | None = None, **fields) -> FeatureRecipe:
+    """``FeatureRecipe(modality, prototypes=..., **fields)``, its prototypes
+    derived from the labeled ``training`` epochs.
 
-    ERP modalities take their temporal prototypes from the training grand
-    averages; the two-class P300 forms use only the higher class id (the
-    target) as prototype.
+    One rule: ERP_MULTI takes every class's grand average, P300 only the
+    highest class id's (the target); both need at least two labeled
+    classes.  MU_P300 is refused, as epochs cannot say how their channels
+    split into subjects.
     """
-    prototypes: tuple[Prototype, ...] = ()
-    if modality == ERP_MULTI:
-        if not training:
-            raise ContractError("erp_multi recipe needs labeled training epochs")
-        prototypes = tuple(build_prototypes(training))
-    elif modality in (P300, MU_P300):
-        if not training:
-            raise ContractError(f"{modality} recipe needs labeled training epochs")
-        labels = list(by_class(training))
-        if len(labels) < 2:
-            raise ContractError("two-class recipe needs both classes in training")
-        prototypes = tuple(build_prototypes(training, class_ids=[labels[-1]]))
-    return FeatureRecipe(
-        modality=modality,
-        prototypes=prototypes,
-        freqs=freqs,
-        width_hz=width_hz,
-        order=order,
-        shrinkage=shrinkage,
-    )
+    if modality == MU_P300:
+        raise ContractError(
+            f"{MU_P300} recipe needs the subject count: build "
+            f"FeatureRecipe({MU_P300!r}, prototypes=..., n_subjects=...)"
+        )
+    prototypes: list[Prototype] = []
+    if modality in (ERP_MULTI, P300):
+        class_ids = list(by_class(training or []))
+        if len(class_ids) < 2:
+            raise ContractError(
+                f"{modality} recipe needs training epochs of at least two labeled "
+                f"classes, got {len(class_ids)}"
+            )
+        prototypes = build_prototypes(training, class_ids[-1:] if modality == P300 else class_ids)
+    return FeatureRecipe(modality, prototypes=prototypes, **fields)
 
 
 def featurize(epochs: list[Epoch], recipe: FeatureRecipe) -> list[SpdMatrix]:

@@ -137,14 +137,11 @@ def fit(training: list[Epoch], recipe: FeatureRecipe) -> MdmModel:
     )
 
 
-def distances(model: MdmModel, e: Epoch) -> DistanceVector:
-    """Affine-invariant distance from the epoch's feature matrix to each mean."""
-    return stack_distances(model, [e])[0]
-
-
-def stack_distances(model: MdmModel, epochs: list[Epoch]) -> list[DistanceVector]:
-    """:func:`distances` of each epoch of a same-shape stack, featurized in one pass."""
-    return feature_distances(model, featurize(epochs, model.recipe))
+def distances(model: MdmModel, e: Epoch | list[Epoch]) -> DistanceVector | list[DistanceVector]:
+    """Affine-invariant distances from an epoch's feature matrix to each
+    class mean; a same-shape list is featurized as one stack and gives a list."""
+    dvs = feature_distances(model, featurize([e] if isinstance(e, Epoch) else e, model.recipe))
+    return dvs[0] if isinstance(e, Epoch) else dvs
 
 
 def feature_distances(model: MdmModel, feats: list[SpdMatrix]) -> list[DistanceVector]:
@@ -213,7 +210,7 @@ def cumulative_select(model: MdmModel, repetitions: list[dict]):
         raise ContractError("need at least one repetition")
     totals: dict[int, float] = {}
     for rep in repetitions:
-        scored = stack_distances(model, list(rep.values()))
+        scored = distances(model, list(rep.values()))
         selected = add_repetition(totals, dict(zip(rep, scored)))
     return selected
 

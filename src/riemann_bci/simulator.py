@@ -252,7 +252,8 @@ class SyntheticSessionConfig:
         )
     )
     ramp: int = DEFAULT_RAMP
-    shrinkage: float = DEFAULT_ERP_SHRINKAGE
+    # both models' shrinkage; a class constant, not a field
+    shrinkage = DEFAULT_ERP_SHRINKAGE
 
     def __post_init__(self):
         if self.n_items < 2:

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 import riemann_bci
 from riemann_bci.cli import main
-from riemann_bci.datasets import load_model, read_epochs, save_model
+from riemann_bci.datasets import load_model, read_epochs, save_model, write_epochs
+from riemann_bci.preprocessing import Epoch
 
 
 def run(argv):
@@ -620,6 +621,24 @@ def _generic_epoch_too_short(tmp_path, model, data):
     return argv, "generic model's response is shifted GENERIC_SHIFT_S = 0.2 s"
 
 
+def _p300_targets_only(command):
+    """Case: ``command`` trains a P300 recipe on a file of target epochs alone."""
+    def case(tmp_path, model, data):
+        p300, _ = _fitted(tmp_path, "p300")
+        targets = tmp_path / "targets.dat"
+        write_epochs(targets, [e for e in read_epochs(p300) if e.label == 1])
+        if command == "fit":
+            argv = ["fit", "--modality", "p300", "--in", str(targets),
+                    "--out", str(tmp_path / "m.json")]
+        else:
+            argv = ["crossval", "--modality", "p300", "--in", str(targets),
+                    "--report", str(tmp_path / "r.csv"), "--k", "2"]
+        return argv, "recipe needs"
+
+    case.__name__ = f"p300_targets_only_{command}"
+    return case
+
+
 def _payload_value(command, value, name):
     """Case: one float32 of the epoch payload set to ``value``, then ``command``."""
     def case(tmp_path, model, data):
@@ -656,7 +675,8 @@ _NON_FINITE_PAYLOADS = [
      _labels_not_class_ids, _stray_prototype_class, _repeated_fit_freqs,
      _repeated_model_freqs, _mi_freqs, _mi_model_prototype,
      _p300_model_two_subjects, _mi_width_and_order, _mi_model_order,
-     _p300_epoch_too_short, _simulated_epoch_too_short, _generic_epoch_too_short]
+     _p300_epoch_too_short, _simulated_epoch_too_short, _generic_epoch_too_short,
+     _p300_targets_only("fit"), _p300_targets_only("crossval")]
     + _NOT_NUMBERS + _NON_FINITE_PAYLOADS,
     ids=lambda case: case.__name__.lstrip("_"),
 )
@@ -799,6 +819,51 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path):
         digests.append(proc.stdout)
     assert len(digests[0].splitlines()) == 5
     assert digests[0] == digests[1]
+
+
+@pytest.mark.parametrize(
+    "synth, fit, k",
+    [
+        pytest.param(
+            ["--modality", "mi", "--classes", "4", "--channels", "6", "--trials", "10",
+             "--samples", "16", "--seed", "7"],
+            ["--modality", "mi", "--shrinkage", "0.0"],
+            "4",
+            id="mi",
+        ),
+        pytest.param(
+            ["--modality", "ssvep", "--trials", "6", "--channels", "6", "--samples", "512",
+             "--fs", "256", "--snr", "3.0", "--seed", "5", "--freqs", "12", "15", "20"],
+            ["--modality", "ssvep", "--freqs", "12", "15", "20"],
+            "8",
+            id="ssvep",
+        ),
+    ],
+)
+def test_reports_invariant_under_channel_permutation(tmp_path, synth, fit, k):
+    """Distances are invariant under a channel permutation, which is exact in
+    the float32 file: a permuted copy gives the same eval and crossval reports.
+    The MI geometry makes errors (eval 0.975, folds 0.8-1.0); SSVEP at the
+    README geometry is all correct, so it pins the folds and trial counts."""
+    data, permuted = tmp_path / "data.dat", tmp_path / "permuted.dat"
+    assert run(["synth", *synth, "--out", str(data)]) == 0
+    epochs = read_epochs(data)
+    order = [2, 0, 5, 1, 3, 4]
+    write_epochs(permuted, [
+        Epoch(e.data[order], fs=e.fs, label=e.label, channels=[e.channels[i] for i in order])
+        for e in epochs
+    ], modality=synth[1])
+    assert np.array_equal([e.data for e in read_epochs(permuted)], [e.data[order] for e in epochs])
+    reports = []
+    for source in (data, permuted):
+        model, out = tmp_path / f"{source.stem}.json", tmp_path / source.stem
+        assert run(["fit", *fit, "--in", str(source), "--out", str(model)]) == 0
+        assert run(["eval", "--model", str(model), "--in", str(source),
+                    "--report", f"{out}.eval.csv"]) == 0
+        assert run(["crossval", *fit, "--k", k, "--in", str(source),
+                    "--report", f"{out}.cv.csv"]) == 0
+        reports.append([Path(f"{out}.{kind}.csv").read_bytes() for kind in ("eval", "cv")])
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -18,6 +18,7 @@ from riemann_bci.features import (
     FeatureRecipe,
     Prototype,
     build_prototypes,
+    build_recipe,
     by_class,
     featurize,
     shrink,
@@ -190,6 +191,48 @@ def test_by_class_keeps_input_order_within_a_class(rng):
     assert groups[1] == [epochs[2], epochs[4]]
     assert groups[3] == [epochs[0], epochs[3], epochs[6]]
     assert by_class([]) == {} and by_class(epochs[1:2]) == {}
+
+
+class TestBuildRecipe:
+    def test_one_prototype_rule(self, rng):
+        """ERP_MULTI averages every class, P300 only the highest class id."""
+        epochs = [integer_epoch(rng, 2, 20, label=z) for z in (2, 0, 1, 2, 0, 1)]
+        multi = build_recipe(ERP_MULTI, epochs, shrinkage=1e-2)
+        (target,) = build_recipe(P300, epochs, shrinkage=1e-2).prototypes
+        assert [p.class_id for p in multi.prototypes] == [0, 1, 2]
+        for p, q in zip(multi.prototypes, build_prototypes(epochs), strict=True):
+            np.testing.assert_array_equal(p.data, q.data)
+        assert target.class_id == 2 and target.n_epochs == 2
+        np.testing.assert_array_equal(target.data, multi.prototypes[2].data)
+        assert multi.shrinkage == 1e-2
+
+    @pytest.mark.parametrize("modality", [ERP_MULTI, P300])
+    @pytest.mark.parametrize(
+        "labels", [None, (), (None, None), (1, 1)], ids=["none", "empty", "unlabeled", "one-class"]
+    )
+    def test_fewer_than_two_classes_refused(self, rng, modality, labels):
+        training = None if labels is None else [integer_epoch(rng, 2, 20, z) for z in labels]
+        with pytest.raises(ContractError, match="two labeled classes"):
+            build_recipe(modality, training)
+
+    def test_multi_user_recipe_refused(self, rng):
+        """Training epochs cannot say how their channels split into subjects,
+        so an 8-channel two-class set is not silently one 8-channel subject."""
+        epochs = [integer_epoch(rng, 8, 64, label=z) for z in (0, 1, 0, 1)]
+        with pytest.raises(ContractError, match="n_subjects"):
+            build_recipe(MU_P300, epochs, shrinkage=1e-2)
+
+    def test_own_prototypes_refused(self, rng):
+        epochs = [integer_epoch(rng, 2, 20, label=z) for z in (0, 1)]
+        (proto,) = build_prototypes(epochs, class_ids=[0])
+        with pytest.raises(TypeError, match="prototypes"):
+            build_recipe(P300, epochs, prototypes=(proto,))
+
+    def test_other_fields_pass_through(self):
+        recipe = build_recipe(SSVEP, freqs=(12, 15), width_hz=3.0, order=2, shrinkage=0.0)
+        expected = FeatureRecipe(SSVEP, freqs=(12.0, 15.0), width_hz=3.0, order=2, shrinkage=0.0)
+        assert recipe == expected
+        assert build_recipe(MI) == FeatureRecipe(MI)
 
 
 class TestErpSuperCov:

@@ -320,7 +320,7 @@ def test_fit_and_score_invariant_under_channel_mixing(rng, modality, shrinkage, 
     tables = []
     for fit_on, score in ((train, test), (mixed(train), mixed(test))):
         model = mdm.fit(fit_on, mixing_recipe(modality, fit_on, shrinkage))
-        tables.append(np.array([dv.values for dv in mdm.stack_distances(model, score)]))
+        tables.append(np.array([dv.values for dv in mdm.distances(model, score)]))
     plain, moved = tables
     rtol = AUTO_MIXED_DISTANCE_RTOL if shrinkage == "auto" else MIXED_DISTANCE_RTOL
     np.testing.assert_array_equal(moved.argmin(axis=1), plain.argmin(axis=1))

@@ -52,6 +52,16 @@ def test_adaptation_study_refuses_no_sessions(monkeypatch):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("script", ["calibrate_p300_snr.py", "ssvep_duration_curve.py"])
+def test_seed_sweep_refuses_no_seeds(monkeypatch, script):
+    """Zero seeds is a usage error, not a traceback over an empty sweep."""
+    path = SCRIPTS / script
+    monkeypatch.setattr(sys, "argv", [str(path), "--seeds", "0"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(path), run_name="__main__")
+    assert exc.value.code == 2
+
+
 def test_adaptation_study_refuses_negative_seed(monkeypatch):
     """A negative session seed is a usage error, not a traceback."""
     path = SCRIPTS / "adaptation_experiment.py"
