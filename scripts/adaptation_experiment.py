@@ -3,49 +3,36 @@
 Runs paired adaptive / non-adaptive sessions from a deliberately
 mismatched generic model, reports the distribution of per-session NRD
 slopes, per-level means, and the share of levels solved within three
-repetitions, and optionally writes the per-repetition CSV.
+repetitions.  ``riemann-bci simulate --mode both`` writes the same
+sessions' per-repetition CSV.
 
-Usage: python scripts/adaptation_experiment.py [--sessions 100] [--csv out.csv]
+Usage: python scripts/adaptation_experiment.py [--sessions 100] [--seed 0]
 """
 
 import argparse
+import sys
 
 import numpy as np
 
+from riemann_bci.cli import run
 from riemann_bci.simulator import (
     ADAPTIVE,
     NON_ADAPTIVE,
     SyntheticSessionConfig,
     replay_sessions,
-    session_rows,
-    write_session_csv,
 )
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser()
-    parser.add_argument("--sessions", type=int, default=100)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--csv", default=None)
-    args = parser.parse_args()
-    if args.sessions < 1:
-        parser.error(f"--sessions must be >= 1, got {args.sessions}")
-    if args.seed < 0:
-        parser.error(f"--seed must be >= 0, got {args.seed}")
-
+def main(args) -> None:
     config = SyntheticSessionConfig()
-    seeds = range(args.seed, args.seed + args.sessions)
     slopes = []
     nrds = {ADAPTIVE: [], NON_ADAPTIVE: []}  # per mode, one row of level NRDs per session
-    rows = []
-    for session, mode, results, summary in replay_sessions(
-        config, seeds, (ADAPTIVE, NON_ADAPTIVE)
+    for _, mode, _, summary in replay_sessions(
+        config, args.seed, args.sessions, (ADAPTIVE, NON_ADAPTIVE)
     ):
         if mode == ADAPTIVE:
             slopes.append(summary.nrd_slope)
         nrds[mode].append(summary.nrds)
-        if args.csv:
-            rows += session_rows(session, results)
 
     print(f"sessions: {args.sessions}, levels: {config.n_levels}")
     print(
@@ -59,10 +46,11 @@ def main() -> None:
         values = np.array(values)
         within3 = np.mean(values <= 3)
         print(f"{mode}: mean NRD {values.mean():.2f}, solved within 3 reps {within3:.1%}")
-    if args.csv:
-        write_session_csv(args.csv, rows)
-        print(f"wrote {len(rows)} rows to {args.csv}")
 
 
 if __name__ == "__main__":
-    main()
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--sessions", type=int, default=100)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.set_defaults(func=main)
+    sys.exit(run(parser, None))

@@ -7,10 +7,12 @@ Usage: python scripts/calibrate_p300_snr.py [--seeds 20]
 """
 
 import argparse
+import sys
 
 import numpy as np
 
-from riemann_bci import mdm
+from riemann_bci import ContractError, mdm
+from riemann_bci.cli import run
 from riemann_bci.datasets import SyntheticSpec, generate_p300
 from riemann_bci.features import DEFAULT_ERP_SHRINKAGE, P300, build_recipe
 from riemann_bci.preprocessing import demean
@@ -29,12 +31,9 @@ def auc_for(snr: float, seed: int) -> float:
     return mdm.auc([(-mdm.target_contrast(dv), e.label) for dv, e in scored])
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser()
-    parser.add_argument("--seeds", type=int, default=20)
-    args = parser.parse_args()
+def main(args) -> None:
     if args.seeds < 1:
-        parser.error(f"--seeds must be >= 1, got {args.seeds}")
+        raise ContractError(f"seeds must be >= 1, got {args.seeds}")
 
     print(f"{'snr':>6}  {'mean AUC':>9}  {'min':>6}  {'max':>6}")
     for snr in SNR_GRID:
@@ -45,4 +44,7 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--seeds", type=int, default=20)
+    parser.set_defaults(func=main)
+    sys.exit(run(parser, None))

@@ -5,11 +5,13 @@ Usage: python scripts/ssvep_duration_curve.py [--snr 0.15] [--seeds 50]
 """
 
 import argparse
+import sys
 from dataclasses import replace
 
 import numpy as np
 
-from riemann_bci import mdm
+from riemann_bci import ContractError, mdm
+from riemann_bci.cli import run
 from riemann_bci.datasets import SyntheticSpec, generate_ssvep
 from riemann_bci.features import DEFAULT_ERP_SHRINKAGE, SSVEP, build_recipe
 from riemann_bci.preprocessing import Epoch
@@ -38,13 +40,9 @@ def curve(snr: float, seed: int) -> np.ndarray:
     return np.array(accs)
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser()
-    parser.add_argument("--snr", type=float, default=0.15)
-    parser.add_argument("--seeds", type=int, default=50)
-    args = parser.parse_args()
+def main(args) -> None:
     if args.seeds < 1:
-        parser.error(f"--seeds must be >= 1, got {args.seeds}")
+        raise ContractError(f"seeds must be >= 1, got {args.seeds}")
 
     curves = np.array([curve(args.snr, seed) for seed in range(args.seeds)])
     mean_curve = curves.mean(axis=0)
@@ -55,4 +53,8 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--snr", type=float, default=0.15)
+    parser.add_argument("--seeds", type=int, default=50)
+    parser.set_defaults(func=main)
+    sys.exit(run(parser, None))

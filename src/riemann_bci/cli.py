@@ -6,7 +6,8 @@ report) and ``simulate`` (paired adaptive / non-adaptive session replay).
 Every command is deterministic given its inputs, flags and seed.
 
 Exit codes: 0 success, 2 usage error, 3 data or contract error, 4 numeric
-failure.
+failure. :func:`run` maps them for this CLI and for every script in
+``scripts/``.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ def _subject(args, **fields) -> SyntheticSpec:
     )
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> None:
     spec = _subject(args, trials_per_class=args.trials, seed=args.seed)
     if args.modality == MI:
         covs = default_mi_covariances(spec.n_channels, args.classes)
@@ -108,20 +109,18 @@ def cmd_synth(args) -> int:
         f"samples at {spec.fs} Hz, modality {args.modality}, seed {args.seed}) "
         f"to {args.out}"
     )
-    return EXIT_OK
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> None:
     model = _fit(args, _preprocess(read_epochs(args.input), args))
     save_model(args.out, model)
     counts = ", ".join(
         f"class {z}: {c}" for z, c in zip(model.class_ids, model.counts)
     )
     print(f"fitted {len(model.class_ids)}-class model ({counts}) -> {args.out}")
-    return EXIT_OK
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> None:
     model = load_model(args.model)
     epochs = _preprocess(read_epochs(args.input), args)
     labeled = [e for e in epochs if e.label is not None]
@@ -148,16 +147,11 @@ def cmd_eval(args) -> int:
         writer.writerows(rows)
     for name, value in rows:
         print(f"{name}: {value}")
-    return EXIT_OK
 
 
-def _check_seed(seed: int) -> None:
-    if seed < 0:
-        raise ContractError(f"seed must be >= 0, got {seed}")
-
-
-def cmd_crossval(args) -> int:
-    _check_seed(args.seed)
+def cmd_crossval(args) -> None:
+    if args.seed < 0:
+        raise ContractError(f"seed must be >= 0, got {args.seed}")
     epochs = _preprocess(read_epochs(args.input), args)
     labeled = [e for e in epochs if e.label is not None]
     if args.k < 2:
@@ -189,13 +183,9 @@ def cmd_crossval(args) -> int:
         f"{args.k}-fold accuracy: mean {np.mean(accuracies):.4f} "
         f"(folds {', '.join(f'{a:.4f}' for a in accuracies)})"
     )
-    return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    if args.sessions < 1:
-        raise ContractError(f"sessions must be >= 1, got {args.sessions}")
-    _check_seed(args.seed)
+def cmd_simulate(args) -> None:
     config = SyntheticSessionConfig(
         n_items=args.items,
         n_levels=args.levels,
@@ -204,10 +194,9 @@ def cmd_simulate(args) -> int:
         ramp=args.ramp,
     )
     modes = (ADAPTIVE, NON_ADAPTIVE) if args.mode == "both" else (args.mode,)
-    seeds = range(args.seed, args.seed + args.sessions)
     rows = []
     capped = 0
-    for session, _, results, _ in replay_sessions(config, seeds, modes):
+    for session, _, results, _ in replay_sessions(config, args.seed, args.sessions, modes):
         rows += session_rows(session, results)
         capped += sum(not r.solved for r in results)
     write_session_csv(args.out, rows)
@@ -217,7 +206,6 @@ def cmd_simulate(args) -> int:
     )
     if capped:
         print(f"{capped} level run(s) hit the repetition cap of {args.cap}")
-    return EXIT_OK
 
 
 @cache  # one parser per process: main may run many commands in one
@@ -297,24 +285,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
+def run(parser: argparse.ArgumentParser, argv) -> int:
+    """Parse ``argv`` (``None``: ``sys.argv``) and call the parsed ``func``
+    with numpy's overflow, invalid-value and divide-by-zero events raised;
+    return its exit code, printing one line for an error it maps."""
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return args.func(args)
-    except ContractError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+            args.func(args)
+    except (ContractError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (NumericError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    return EXIT_OK
+
+
+def main(argv=None) -> int:
+    return run(build_parser(), argv)
 
 
 if __name__ == "__main__":

@@ -222,9 +222,7 @@ def by_class(epochs: list[Epoch]) -> dict[int, list[Epoch]]:
     return dict(sorted(groups.items()))
 
 
-def build_prototypes(
-    training: list[Epoch], class_ids: list[int] | None = None
-) -> list[Prototype]:
+def build_prototypes(training: list[Epoch], class_ids: list[int]) -> list[Prototype]:
     """Element-wise mean epoch per class, in ascending class-id order.
 
     The labeled epochs must share one shape and sampling rate.
@@ -235,7 +233,7 @@ def build_prototypes(
     data = _stacked_data([e for g in groups.values() for e in g], "prototype")
     starts = dict(zip(groups, accumulate((len(g) for g in groups.values()), initial=0)))
     protos = []
-    for z in groups if class_ids is None else sorted(class_ids):
+    for z in sorted(class_ids):
         if z not in groups:
             raise ContractError(f"no training epochs for class {z}")
         members = data[starts[z] : starts[z] + len(groups[z])]

@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -337,15 +337,19 @@ def make_level_specs(
 
 
 def replay_sessions(
-    config: SyntheticSessionConfig, seeds: Iterable[int], modes: tuple[str, ...]
+    config: SyntheticSessionConfig, seed: int, sessions: int, modes: tuple[str, ...]
 ) -> Iterator[tuple[int, str, list[LevelResult], SessionSummary]]:
     """The paired protocol of ``simulate`` and the adaptation study: yield
-    ``(session, mode, results, summary)`` for each session seed (``session``
-    is its position in ``seeds``), and within it for each mode in order, all
-    over the same level specs: per seed, the replay :func:`compare_modes`
-    makes, with the static model calibrated once on the subject's training
-    run.
+    ``(session, mode, results, summary)`` for each of ``sessions`` session
+    seeds from ``seed`` on (``session`` counts from 0), and within it for
+    each mode in order, all over the same level specs: per seed, the replay
+    :func:`compare_modes` makes, with the static model calibrated once on
+    the subject's training run.
     """
+    if sessions < 1:
+        raise ContractError(f"sessions must be >= 1, got {sessions}")
+    # every seed is checked before either model is built
+    levels = [make_level_specs(config, s) for s in range(seed, seed + sessions)]
     # Each builder draws from its own fixed-seed generator, so building only
     # what the modes use changes no output; an unknown mode fails in run_level.
     generic = trained = None
@@ -353,7 +357,6 @@ def replay_sessions(
         generic = synthetic_generic_model(config)
     if NON_ADAPTIVE in modes:
         trained = calibrated_model(synthetic_training_run(config), config.shrinkage)
-    for session, seed in enumerate(seeds):
-        levels = make_level_specs(config, session_seed=seed)
-        for replay in _replay_levels(levels, modes, generic, trained, config.ramp):
+    for session, specs in enumerate(levels):
+        for replay in _replay_levels(specs, modes, generic, trained, config.ramp):
             yield (session, *replay)

@@ -4,7 +4,11 @@ every package import that nothing reads must be one of those bindings."""
 
 import ast
 import importlib.util
+import math
 from pathlib import Path
+
+import numpy as np
+import scipy.signal
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -69,17 +73,60 @@ WORKLOAD_DIGESTS = {
 }
 
 
+# The work of that operation, counted while it runs: np.linalg.eigh and
+# eigvalsh calls and their summed batch x n^3, and scipy.signal.sosfilt calls
+# and the values they filter (rows x samples, padding included).  A change
+# that lowers the work lowers a ceiling; one that raises a ceiling says why.
+MAX_OPERATION_WORK = {
+    "ssvep_curve": {"eigh_calls": 280, "eigh_batch_n3": 4_712_256,
+                    "sosfilt_calls": 612, "sosfilt_values": 3_345_408},
+    "p300_session": {"eigh_calls": 628, "eigh_batch_n3": 4_008_960,
+                     "sosfilt_calls": 0, "sosfilt_values": 0},
+    "erp_calibration": {"eigh_calls": 21, "eigh_batch_n3": 2_506_752,
+                        "sosfilt_calls": 0, "sosfilt_values": 0},
+}
+
+
+def _count_work(monkeypatch, work):
+    """Wrap eigh, eigvalsh and sosfilt where the package looks them up, adding
+    each call's work to ``work``."""
+
+    def counted(owner, name, calls, amount, size):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            work[calls] += 1
+            work[amount] += size(*args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    def batch_n3(a, *_):
+        return math.prod(a.shape[:-2]) * a.shape[-1] ** 3
+
+    for name in ("eigh", "eigvalsh"):
+        counted(np.linalg, name, "eigh_calls", "eigh_batch_n3", batch_n3)
+    counted(scipy.signal, "sosfilt", "sosfilt_calls", "sosfilt_values", lambda _, x, *__: x.size)
+
+
 def test_benchmark_operations_keep_their_outputs(tmp_path, monkeypatch):
     """Every call the benchmark makes into the package still works and gives
-    the same output, checked by the workload's own check."""
+    the same output, checked by the workload's own check, and does no more
+    work than its ``MAX_OPERATION_WORK`` ceilings."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import workloads
 
-    assert set(workloads.WORKLOADS) == set(WORKLOAD_DIGESTS)
+    assert set(workloads.WORKLOADS) == set(WORKLOAD_DIGESTS) == set(MAX_OPERATION_WORK)
     for name, workload_type in workloads.WORKLOADS.items():
         workload = workload_type(301, pool_size=1)
         workdir = tmp_path / name
         workdir.mkdir()
         state = workload.setup(workdir)
-        result = workload.check(state, 0, workload.operate(state, 0))
+        work = dict.fromkeys(MAX_OPERATION_WORK[name], 0)
+        with monkeypatch.context() as patched:
+            _count_work(patched, work)
+            output = workload.operate(state, 0)
+        result = workload.check(state, 0, output)
         assert result.digest == WORKLOAD_DIGESTS[name], name
+        over = {k: v for k, v in work.items() if v > MAX_OPERATION_WORK[name][k]}
+        assert not over, (name, work)

@@ -139,7 +139,7 @@ class TestBuildPrototypes:
     def test_identical_epochs(self, rng):
         data = rng.standard_normal((4, 50))
         epochs = [Epoch(data, fs=128.0, label=1) for _ in range(2)]
-        (proto,) = build_prototypes(epochs)
+        (proto,) = build_prototypes(epochs, class_ids=[1])
         np.testing.assert_array_equal(proto.data, data)
         assert proto.class_id == 1 and proto.n_epochs == 2
 
@@ -149,7 +149,7 @@ class TestBuildPrototypes:
             Epoch(data, fs=128.0, label=0),
             Epoch(-data, fs=128.0, label=0),
         ]
-        (proto,) = build_prototypes(epochs)
+        (proto,) = build_prototypes(epochs, class_ids=[0])
         np.testing.assert_allclose(proto.data, 0.0, atol=1e-12)
 
     def test_noise_averages_out(self, rng):
@@ -159,7 +159,7 @@ class TestBuildPrototypes:
             Epoch(template + sigma * rng.standard_normal((4, 100)), fs=128.0, label=2)
             for _ in range(100)
         ]
-        (proto,) = build_prototypes(epochs)
+        (proto,) = build_prototypes(epochs, class_ids=[2])
         residual_rms = np.sqrt(np.mean((proto.data - template) ** 2))
         assert residual_rms <= 1.5 * sigma / np.sqrt(100)
 
@@ -173,10 +173,10 @@ class TestBuildPrototypes:
             integer_epoch(rng, 2, 20, label=5),
             integer_epoch(rng, 2, 20, label=1),
         ]
-        protos = build_prototypes(epochs)
+        protos = build_prototypes(epochs, class_ids=[5, 1])
         assert [p.class_id for p in protos] == [1, 5]
 
-    @pytest.mark.parametrize("class_ids", [None, [1]])
+    @pytest.mark.parametrize("class_ids", [[0, 1], [1]])
     def test_mixed_rates_refused(self, rng, class_ids):
         data = rng.standard_normal((2, 20))
         epochs = [Epoch(data, fs=128.0, label=0), Epoch(data, fs=256.0, label=1)]
@@ -200,7 +200,7 @@ class TestBuildRecipe:
         multi = build_recipe(ERP_MULTI, epochs, shrinkage=1e-2)
         (target,) = build_recipe(P300, epochs, shrinkage=1e-2).prototypes
         assert [p.class_id for p in multi.prototypes] == [0, 1, 2]
-        for p, q in zip(multi.prototypes, build_prototypes(epochs), strict=True):
+        for p, q in zip(multi.prototypes, build_prototypes(epochs, [0, 1, 2]), strict=True):
             np.testing.assert_array_equal(p.data, q.data)
         assert target.class_id == 2 and target.n_epochs == 2
         np.testing.assert_array_equal(target.data, multi.prototypes[2].data)

@@ -7,7 +7,7 @@ from riemann_bci.cli import build_parser
 
 # Defaulted dataclass fields plus defaulted parameters in the package: a new
 # option has to raise this bound in the same change that adds it.
-MAX_SETTABLE_VALUES = 42
+MAX_SETTABLE_VALUES = 41
 # Names exported by the top-level package: a new one has to raise this bound.
 MAX_PUBLIC_NAMES = 15
 # Option strings over every CLI subcommand, -h/--help aside: a new flag has

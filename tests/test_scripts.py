@@ -1,5 +1,6 @@
 """Each script in ``scripts/`` runs in-process to completion at its smallest
-size, so a change to the package API cannot break one unseen."""
+size, so a change to the package API cannot break one unseen, and ends a
+refused argument through ``cli.run``'s exit codes, never a traceback."""
 
 import runpy
 import sys
@@ -7,24 +8,38 @@ from pathlib import Path
 
 import pytest
 
-from riemann_bci.cli import main
-
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
-# script -> (smallest-size arguments, text its report prints)
+# script -> (smallest-size arguments, text its report prints, a hostile
+# argument list, the exit code that list must end with)
 SMALLEST = {
-    "calibrate_p300_snr.py": (["--seeds", "1"], "mean AUC"),
-    "adaptation_experiment.py": (["--sessions", "1"], "adaptive NRD slope"),
-    "ssvep_duration_curve.py": (["--seeds", "1"], "duration"),
+    "calibrate_p300_snr.py": (["--seeds", "1"], "mean AUC", ["--seeds", "0"], 3),
+    "adaptation_experiment.py": (["--sessions", "1"], "adaptive NRD slope", ["--sessions", "0"], 3),
+    "ssvep_duration_curve.py": (["--seeds", "1"], "duration", ["--snr", "-1"], 3),
 }
+
+# (script, hostile arguments, exit code): each script's SMALLEST case, then more
+HOSTILE = [(script, *SMALLEST[script][2:]) for script in sorted(SMALLEST)] + [
+    ("ssvep_duration_curve.py", ["--snr", "nan"], 3),
+    ("ssvep_duration_curve.py", ["--snr", "inf"], 3),
+    ("ssvep_duration_curve.py", ["--seeds", "0"], 3),
+    ("adaptation_experiment.py", ["--seed", "-1"], 3),
+]
+
+
+def run_script(monkeypatch, script, argv):
+    """The exit code ``script`` ends with, run in-process on ``argv``."""
+    path = SCRIPTS / script
+    monkeypatch.setattr(sys, "argv", [str(path), *argv])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(path), run_name="__main__")
+    return exc.value.code
 
 
 @pytest.mark.parametrize("script", sorted(SMALLEST))
 def test_script_runs(monkeypatch, capsys, script):
-    argv, printed = SMALLEST[script]
-    path = SCRIPTS / script
-    monkeypatch.setattr(sys, "argv", [str(path), *argv])
-    runpy.run_path(str(path), run_name="__main__")
+    argv, printed, _, _ = SMALLEST[script]
+    assert run_script(monkeypatch, script, argv) == 0
     assert printed in capsys.readouterr().out
 
 
@@ -32,40 +47,31 @@ def test_every_script_is_covered():
     assert sorted(p.name for p in SCRIPTS.glob("*.py")) == sorted(SMALLEST)
 
 
-def test_adaptation_study_replays_the_simulate_protocol(monkeypatch, tmp_path):
-    """The study's CSV is byte-identical to ``simulate --mode both``'s."""
-    study, simulated = tmp_path / "study.csv", tmp_path / "simulate.csv"
-    path = SCRIPTS / "adaptation_experiment.py"
-    monkeypatch.setattr(sys, "argv", [str(path), "--sessions", "1", "--csv", str(study)])
-    runpy.run_path(str(path), run_name="__main__")
-    assert main(["simulate", "--sessions", "1", "--mode", "both",
-                 "--out", str(simulated)]) == 0
-    assert study.read_bytes() == simulated.read_bytes()
+@pytest.mark.parametrize(
+    "script, argv, code", HOSTILE, ids=[" ".join([s, *a]) for s, a, _ in HOSTILE]
+)
+def test_hostile_arguments_end_with_an_exit_code(monkeypatch, capsys, script, argv, code):
+    """A refused argument ends the script with its exit code and, for a data
+    error, exactly one ``error:`` line; no traceback escapes."""
+    assert run_script(monkeypatch, script, argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 3:
+        (line,) = err.splitlines()
+        assert line.startswith("error: "), err
 
 
 def test_adaptation_study_refuses_no_sessions(monkeypatch):
-    """Zero sessions is a usage error, not a report of NaN means."""
-    path = SCRIPTS / "adaptation_experiment.py"
-    monkeypatch.setattr(sys, "argv", [str(path), "--sessions", "0"])
-    with pytest.raises(SystemExit) as exc:
-        runpy.run_path(str(path), run_name="__main__")
-    assert exc.value.code == 2
+    """Zero sessions is a data error, not a report of NaN means."""
+    assert run_script(monkeypatch, "adaptation_experiment.py", ["--sessions", "0"]) == 3
 
 
 @pytest.mark.parametrize("script", ["calibrate_p300_snr.py", "ssvep_duration_curve.py"])
 def test_seed_sweep_refuses_no_seeds(monkeypatch, script):
-    """Zero seeds is a usage error, not a traceback over an empty sweep."""
-    path = SCRIPTS / script
-    monkeypatch.setattr(sys, "argv", [str(path), "--seeds", "0"])
-    with pytest.raises(SystemExit) as exc:
-        runpy.run_path(str(path), run_name="__main__")
-    assert exc.value.code == 2
+    """Zero seeds is a data error, not a traceback over an empty sweep."""
+    assert run_script(monkeypatch, script, ["--seeds", "0"]) == 3
 
 
 def test_adaptation_study_refuses_negative_seed(monkeypatch):
-    """A negative session seed is a usage error, not a traceback."""
-    path = SCRIPTS / "adaptation_experiment.py"
-    monkeypatch.setattr(sys, "argv", [str(path), "--seed", "-1"])
-    with pytest.raises(SystemExit) as exc:
-        runpy.run_path(str(path), run_name="__main__")
-    assert exc.value.code == 2
+    """A negative session seed is a data error, not a traceback."""
+    assert run_script(monkeypatch, "adaptation_experiment.py", ["--seed", "-1"]) == 3

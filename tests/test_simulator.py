@@ -197,7 +197,7 @@ class TestRunLevel:
         replayed = [
             [session, mode, [list(r.selections) for r in results]]
             for session, mode, results, _ in replay_sessions(
-                SyntheticSessionConfig(), [0, 1], (ADAPTIVE, NON_ADAPTIVE)
+                SyntheticSessionConfig(), 0, 2, (ADAPTIVE, NON_ADAPTIVE)
             )
         ]
         digest = hashlib.sha256(json.dumps(replayed).encode()).hexdigest()
@@ -214,7 +214,7 @@ class TestRunLevel:
             return mdm.add_repetition(totals, repetition)
 
         monkeypatch.setattr(simulator, "add_repetition", recorded)
-        list(replay_sessions(SyntheticSessionConfig(), [0, 1], (ADAPTIVE, NON_ADAPTIVE)))
+        list(replay_sessions(SyntheticSessionConfig(), 0, 2, (ADAPTIVE, NON_ADAPTIVE)))
         assert digest.hexdigest() == DISTANCES_SHA256
 
     def test_selections_match_cumulative_select(self):
@@ -341,7 +341,7 @@ class TestCompareModes:
             shrinkage=config.shrinkage,
             ramp=config.ramp,
         )
-        replayed = list(replay_sessions(config, [seed], (ADAPTIVE, NON_ADAPTIVE)))
+        replayed = list(replay_sessions(config, seed, 1, (ADAPTIVE, NON_ADAPTIVE)))
         paired = (
             (ADAPTIVE, cmp.adaptive_results, cmp.adaptive_summary),
             (NON_ADAPTIVE, cmp.non_adaptive_results, cmp.non_adaptive_summary),
@@ -360,11 +360,24 @@ class TestCompareModes:
 
         monkeypatch.setattr(simulator, "synthetic_generic_model", no_generic)
         config = SyntheticSessionConfig(n_items=3, n_levels=2, max_repetitions=2)
-        replayed = list(replay_sessions(config, [0], (NON_ADAPTIVE,)))
+        replayed = list(replay_sessions(config, 0, 1, (NON_ADAPTIVE,)))
         assert len(replayed) == 1
         session, mode, results, summary = replayed[0]
         assert (session, mode, len(results)) == (0, NON_ADAPTIVE, 2)
         assert summary.nrds == tuple(r.nrd for r in results)
+
+    @pytest.mark.parametrize(
+        "seed, sessions, field", [(0, 0, "sessions"), (2, -1, "sessions"), (-1, 1, "seed")]
+    )
+    def test_bad_session_range_fails_before_any_model(self, monkeypatch, seed, sessions, field):
+        def no_model(config):
+            raise AssertionError("a bad session range built a model")
+
+        monkeypatch.setattr(simulator, "synthetic_generic_model", no_model)
+        monkeypatch.setattr(simulator, "synthetic_training_run", no_model)
+        config = SyntheticSessionConfig()
+        with pytest.raises(ContractError, match=f"{field} must"):
+            next(replay_sessions(config, seed, sessions, (ADAPTIVE, NON_ADAPTIVE)))
 
 
 class TestCsvOutput:
